@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 from .arith import (
-    RATIO_DIGITS,
     PowerfulDecomp,
     factorize,
     is_prime,
     merged,
+    ratio_digits,
     valuation,
 )
 from .constructions import APWitness, validate_witness
@@ -174,13 +174,21 @@ def _case_tag(w: APWitness, p: int, nu_d: int) -> str:
     return f"case{hits + 1}/{parity}"
 
 
+def _quality(c: int, kappa: int) -> Decimal:
+    """log(c) / log(kappa) to 50 digits: the abc quality of a triple with sum c."""
+    return ratio_digits(lambda: Decimal(c).ln() / Decimal(kappa).ln())
+
+
 def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
     """Run the whole battery on one 3-AP and collect the evidence.
 
-    Factors each a_i, b_i and d/D once (the only potentially expensive
-    step; `budget` caps the work per number) and reuses those
-    factorizations for the radical, the per-prime table, and the abc
-    quality, so hard witnesses are not paid for twice.
+    Factoring is the only potentially expensive step, and `budget` caps
+    the work per number.  The battery factors each a_i and b_i of the
+    reduced triple and d/D once, and reuses those factorizations for the
+    radical, the per-prime table and the abc quality.  The witness checks
+    before it factor each b_i again, through is_squarefree in
+    validate_witness: once for the witness given, and once more for the
+    reduced witness when reduction changed it.
     """
     _require_3ap(w)
     validate_witness(w, budget)
@@ -228,11 +236,6 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
     for p in sorted(set(fact_ab.primes()) | set(fact_dd.primes())):
         if q1 % p == 0 or q2 % p == 0 or q3 % p == 0 or dd % p == 0:
             kappa *= p
-    with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + 15
-        quality = Decimal(abc[2]).ln() / Decimal(kappa).ln()
-        ctx.prec = RATIO_DIGITS
-        quality = +quality
 
     return TripleAnalysis(
         witness=w,
@@ -243,7 +246,7 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
         per_prime=tuple(rows),
         abc=abc,
         kappa=kappa,
-        quality=quality,
+        quality=_quality(abc[2], kappa),
     )
 
 
@@ -289,8 +292,4 @@ def abc_quality(a: int, b: int, c: int, budget: int | None = None) -> Decimal:
         factorize(a, budget), factorize(b, budget), factorize(c, budget)
     ).primes():
         kappa *= p
-    with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + 15
-        q = Decimal(c).ln() / Decimal(kappa).ln()
-        ctx.prec = RATIO_DIGITS
-        return +q
+    return _quality(c, kappa)

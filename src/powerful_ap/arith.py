@@ -5,7 +5,13 @@ trial division by primes up to 10^6 followed by Brent-cycle Pollard rho on
 whatever composite cofactor remains.  Rho work is metered: each call gets
 an iteration budget and raises BudgetExceeded instead of ever returning a
 wrong or partial answer.  Primality uses the 13-base deterministic
-Miller-Rabin test below 3.3e24 and Baillie-PSW above.
+Miller-Rabin test below 3.3e24, which is a proof there, and Baillie-PSW
+above.  BPSW is a probable-prime test: no composite is known to pass it,
+but nothing proves that none does, so a verdict that rests on a prime
+above 3.3e24 rests on BPSW.
+
+ratio_digits is the one place that sets Decimal precision: every derived
+ratio or quality the package reports goes through it.
 
 is_powerful avoids full factorization where it can: after stripping primes
 up to 10^4 it classifies the cofactor by square/cube/perfect-power root
@@ -17,11 +23,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from typing import Callable
 
 from .errors import BudgetExceeded, InvalidInput, NotPowerful
 
 # Reporting precision (significant digits) for every derived ratio/quality.
 RATIO_DIGITS = 50
+_GUARD_DIGITS = 15
 
 TRIAL_DIVISION_BOUND = 10**6
 SMALL_PRIME_BOUND = 10**4  # stripping bound for the is_powerful fast path
@@ -33,6 +42,20 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _primes: list[int] | None = None
 _small_primes: list[int] | None = None
+
+
+def ratio_digits(compute: Callable[[], Decimal]) -> Decimal:
+    """compute() evaluated with RATIO_DIGITS + 15 digits, rounded to RATIO_DIGITS.
+
+    The guard digits absorb the rounding of the intermediate steps (logs,
+    roots, quotients), so the result is the exact value correctly rounded
+    unless that value lies extremely close to a rounding boundary.
+    """
+    with localcontext() as ctx:
+        ctx.prec = RATIO_DIGITS + _GUARD_DIGITS
+        value = compute()
+        ctx.prec = RATIO_DIGITS
+        return +value
 
 
 def _prime_list() -> list[int]:
@@ -173,7 +196,9 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Certified primality: deterministic Miller-Rabin below 3.3e24, BPSW above."""
+    """Primality: deterministic Miller-Rabin below 3.3e24 (a proof there),
+    Baillie-PSW above (a probable-prime test with no known counterexample,
+    not a proof)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):

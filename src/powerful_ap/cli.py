@@ -28,13 +28,12 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .abcver import TripleAnalysis, analyze_triple, radical_inequality_check
-from .arith import DEFAULT_RHO_BUDGET, RATIO_DIGITS, decompose_powerful
+from .arith import DEFAULT_RHO_BUDGET, decompose_powerful, ratio_digits
 from .constructions import (
     FAMILY_FIVE,
     FAMILY_FOUR,
@@ -85,138 +84,74 @@ _CONSTRUCTORS: dict[str, Callable[..., APWitness]] = {
     FAMILY_FIVE: five_ap,
 }
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bag of options shared by the subcommands."""
-
-    limit: int | None = None
-    d_max: int | None = None
-    k: int | None = None
-    m_range: tuple[int, int] | None = None
-    theta: Fraction | None = None
-    seed: str = f"{FAMILY_PELL3}:1"
-    budget: int = DEFAULT_RHO_BUDGET
-    threads: int = 1
-    fmt: str = "json"
-    out: str | None = None
-    cache: str | None = None
-
-    def __post_init__(self):
-        for name in ("limit", "d_max", "k", "budget", "threads"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise InvalidInput(f"--{name.replace('_', '')} must be >= 1, got {v}")
-        if self.m_range is not None:
-            lo, hi = self.m_range
-            if lo < 1 or hi < lo:
-                raise InvalidInput(f"bad m range {lo}..{hi}")
-        if self.theta is not None and not 0 < self.theta < 1:
-            raise InvalidInput(f"theta must lie in (0, 1), got {self.theta}")
-        if self.fmt not in ("json", "csv"):
-            raise InvalidInput(f"format must be json or csv, got {self.fmt}")
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One output line: a witness plus how it was measured."""
-
-    family: str
-    k: int
-    m: int | None
-    n: int
-    d: int
-    theta: Fraction
-    ratio: Decimal
-    verified: bool
-    terms: tuple[int, ...] = ()
-    extra: tuple[tuple[str, Any], ...] = ()
-
-    def as_json(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {
-            "family": self.family,
-            "k": self.k,
-            "m": self.m,
-            "N": str(self.n),
-            "d": str(self.d),
-            "theta": str(self.theta),
-            "ratio": str(self.ratio),
-            "verified": self.verified,
-        }
-        if self.terms:
-            obj["terms"] = [str(t) for t in self.terms]
-        obj.update(dict(self.extra))
-        return obj
-
-    def as_csv(self) -> list[str]:
-        return [
-            self.family,
-            str(self.k),
-            "" if self.m is None else str(self.m),
-            str(self.n),
-            str(self.d),
-            str(self.theta),
-            str(self.ratio),
-            "true" if self.verified else "false",
-        ]
-
-
-def _row_for(w: APWitness, cfg: RunConfig) -> ReportRow:
-    theta = cfg.theta if cfg.theta is not None else default_theta(w)
-    m = w.params.get("m")
-    extra: list[tuple[str, Any]] = []
-    if "multipliers" in w.params:
-        extra.append(("multipliers", [str(b) for b in w.params["multipliers"]]))
-        extra.append(("seed_family", w.params.get("seed_family")))
-    return ReportRow(
-        family=w.family,
-        k=w.k,
-        m=m if isinstance(m, int) else None,
-        n=w.terms[0],
-        d=w.d,
-        theta=theta,
-        ratio=theta_ratio(w, theta),
-        verified=witness_ok(w, cfg.budget),
-        terms=w.terms,
-        extra=tuple(extra),
-    )
-
-
 # --------------------------------------------------------------- serialization
 
-def _write(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="ascii", newline="") as fh:
+CSV_FIELDS = ("family", "k", "m", "N", "d", "theta", "ratio", "verified")
+
+
+def _row(w: APWitness, theta: Fraction, ratio: Decimal,
+         verified: bool) -> dict[str, Any]:
+    """One report row: a witness plus how it was measured.
+
+    The JSON form doubles as a witness file entry (it round-trips through
+    verify); the CSV line is the CSV_FIELDS of the same dict.
+    """
+    m = w.params.get("m")
+    row: dict[str, Any] = {
+        "k": w.k,
+        "terms": [str(t) for t in w.terms],
+        "d": str(w.d),
+        "family": w.family,
+        "m": m if isinstance(m, int) else None,
+        "N": str(w.terms[0]),
+        "theta": str(theta),
+        "ratio": str(ratio),
+        "verified": verified,
+    }
+    if "multipliers" in w.params:
+        row["multipliers"] = [str(b) for b in w.params["multipliers"]]
+        row["seed_family"] = w.params.get("seed_family")
+    return row
+
+
+def _measured_row(w: APWitness, args: argparse.Namespace) -> dict[str, Any]:
+    """Row for a constructed or found witness: d / N^theta, re-validated."""
+    theta = getattr(args, "theta", None)
+    if theta is None:
+        theta = default_theta(w)
+    return _row(w, theta, theta_ratio(w, theta), witness_ok(w, args.budget))
+
+
+def _csv_cell(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _write(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit(payload: Any, rows: list[ReportRow], cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        _write(json.dumps(payload, indent=2) + "\n", cfg)
+def _emit(payload: Any, rows: list[dict[str, Any]], args: argparse.Namespace) -> None:
+    if args.format == "json":
+        _write(json.dumps(payload, indent=2) + "\n", args)
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "k", "m", "N", "d", "theta", "ratio", "verified"])
+    writer.writerow(CSV_FIELDS)
     for row in rows:
-        writer.writerow(row.as_csv())
-    _write(buf.getvalue(), cfg)
+        writer.writerow([_csv_cell(row[f]) for f in CSV_FIELDS])
+    _write(buf.getvalue(), args)
 
 
 def _error(name: str, detail: str, **extras: Any) -> None:
     obj = {"error": name, "detail": detail}
     obj.update({k: v for k, v in extras.items() if v is not None})
     print(json.dumps(obj), file=sys.stderr)
-
-
-def witness_to_json(w: APWitness) -> dict[str, Any]:
-    return {
-        "k": w.k,
-        "terms": [str(t) for t in w.terms],
-        "d": str(w.d),
-        "family": w.family,
-    }
 
 
 def _as_int(value: Any, label: str) -> int:
@@ -269,24 +204,7 @@ def witness_from_json(obj: Any, budget: int | None = None) -> APWitness:
 
 # ----------------------------------------------------------------- subcommands
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cache = getattr(args, "cache", None) or os.environ.get(CACHE_ENV) or None
-    return RunConfig(
-        limit=getattr(args, "limit", None),
-        d_max=getattr(args, "dmax", None),
-        k=getattr(args, "k", None),
-        m_range=getattr(args, "m", None),
-        theta=getattr(args, "theta", None),
-        seed=getattr(args, "seed", None) or f"{FAMILY_PELL3}:1",
-        budget=getattr(args, "budget", None) or DEFAULT_RHO_BUDGET,
-        threads=getattr(args, "threads", None) or 1,
-        fmt=getattr(args, "format", None) or "json",
-        out=getattr(args, "out", None),
-        cache=cache,
-    )
-
-
-def _seed_witness(text: str, budget: int | None) -> APWitness:
+def _seed_witness(text: str, budget: int) -> APWitness:
     name, sep, num = text.partition(":")
     if not sep or name not in _CONSTRUCTORS:
         families = ", ".join(sorted(_CONSTRUCTORS))
@@ -298,61 +216,41 @@ def _seed_witness(text: str, budget: int | None) -> APWitness:
     return _CONSTRUCTORS[name](m, budget)
 
 
-def _family_rows(family: str, m_range: tuple[int, int],
-                 cfg: RunConfig) -> list[ReportRow]:
-    lo, hi = m_range
-    return [_row_for(_CONSTRUCTORS[family](m, cfg.budget), cfg)
-            for m in range(lo, hi + 1)]
+def _family_witnesses(family: str, args: argparse.Namespace) -> list[APWitness]:
+    """The witnesses --family names: one per m in --m, or for kap every
+    stage of the chain from --seed up to --k terms."""
+    if family != "kap":
+        if args.m is None:
+            raise InvalidInput(f"--m is required for --family {family}")
+        lo, hi = args.m
+        return [_CONSTRUCTORS[family](m, args.budget) for m in range(lo, hi + 1)]
+    if args.k is None:
+        raise InvalidInput("--k is required for --family kap")
+    w = _seed_witness(args.seed, args.budget)
+    stages = [w]
+    while w.k < args.k:
+        w = long_ap(w.k + 1, w, args.budget)
+        stages.append(w)
+    # With w at --k terms this does no work; it rejects a --k below 3 or
+    # below the seed's length.
+    long_ap(args.k, w, args.budget)
+    return stages
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    if args.family == "kap":
-        if cfg.k is None:
-            raise InvalidInput("--k is required for --family kap")
-        seed = _seed_witness(cfg.seed, cfg.budget)
-        stages = [seed]
-        w = seed
-        while w.k < cfg.k:
-            w = long_ap(w.k + 1, w, cfg.budget)
-            stages.append(w)
-        rows = [_row_for(s, cfg) for s in stages]
-    else:
-        if cfg.m_range is None:
-            raise InvalidInput("--m is required for family constructions")
-        rows = _family_rows(args.family, cfg.m_range, cfg)
-    payload = [witness_to_json_row(r) for r in rows]
-    _emit(payload, rows, cfg)
-    if all(r.verified for r in rows):
+    rows = [_measured_row(w, args) for w in _family_witnesses(args.family, args)]
+    _emit(rows, rows, args)
+    bad = next((r for r in rows if not r["verified"]), None)
+    if bad is None:
         return EXIT_OK
-    bad = next(r for r in rows if not r.verified)
-    _error("VerificationFailed", f"witness N={bad.n} d={bad.d} did not validate")
+    _error("VerificationFailed", f"witness N={bad['N']} d={bad['d']} did not validate")
     return EXIT_VERIFY
 
 
-def witness_to_json_row(row: ReportRow) -> dict[str, Any]:
-    """Row JSON that doubles as a witness file entry (round-trips)."""
-    obj = {
-        "k": row.k,
-        "terms": [str(t) for t in row.terms],
-        "d": str(row.d),
-        "family": row.family,
-    }
-    obj.update({k: v for k, v in row.as_json().items()
-                if k not in ("k", "d", "family", "terms")})
-    return obj
-
-
-def _decimal_str(value: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + 10
-        q = Decimal(value.numerator) / Decimal(value.denominator)
-        ctx.prec = RATIO_DIGITS
-        return str(+q)
-
-
-def _search_payload(cfg: RunConfig) -> tuple[dict[str, Any], list[ReportRow]]:
-    table = table_for(cfg.limit, cfg.cache, cfg.threads)
+def _search_payload(args: argparse.Namespace,
+                    k: int) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    cache = args.cache or os.environ.get(CACHE_ENV) or None
+    table = table_for(args.limit, cache, args.threads)
     runs = consecutive_check(table)
     payload: dict[str, Any] = {
         "limit": table.limit,
@@ -368,13 +266,12 @@ def _search_payload(cfg: RunConfig) -> tuple[dict[str, Any], list[ReportRow]]:
                 f"run of {len(run)} consecutive powerful numbers at {run[0]} "
                 "(previously unknown; report this)"
             )
-    rows: list[ReportRow] = []
-    if cfg.d_max is not None:
-        k = cfg.k or 3
-        records = find_kaps(table, k, cfg.d_max, cfg.threads)
+    rows: list[dict[str, Any]] = []
+    if args.dmax is not None:
+        records = find_kaps(table, k, args.dmax, args.threads)
         minima = record_min_ratio(records)
         payload["k"] = k
-        payload["d_max"] = cfg.d_max
+        payload["d_max"] = args.dmax
         payload["records"] = [_record_json(r) for r in records]
         payload["record_minima"] = [_record_json(r) for r in minima]
         if k == 3:
@@ -384,11 +281,10 @@ def _search_payload(cfg: RunConfig) -> tuple[dict[str, Any], list[ReportRow]]:
                         f"3-AP at N={rec.n}, d={rec.d} has d/sqrt(N) = "
                         f"{str(rec.ratio_half)[:12]}... < 4 (notable, not an error)"
                     )
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             # CSV rows promise a real verified flag, so re-prove each hit.
-            for rec in records:
-                w = ap_witness(rec, cfg.budget)
-                rows.append(_row_for(w, cfg))
+            rows = [_measured_row(ap_witness(rec, args.budget), args)
+                    for rec in records]
     payload["notes"] = notes
     return payload, rows
 
@@ -403,11 +299,8 @@ def _record_json(rec: APRecord) -> dict[str, Any]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    if cfg.limit is None:
-        raise InvalidInput("--limit is required for search")
-    payload, rows = _search_payload(cfg)
-    _emit(payload, rows, cfg)
+    payload, rows = _search_payload(args, args.k)
+    _emit(payload, rows, args)
     return EXIT_OK
 
 
@@ -436,7 +329,7 @@ def _analysis_json(t: TripleAnalysis) -> dict[str, Any]:
     }
 
 
-def _verify_witness(w: APWitness, cfg: RunConfig) -> tuple[dict[str, Any], str | None]:
+def _verify_witness(w: APWitness, budget: int) -> tuple[dict[str, Any], str | None]:
     """Analyze every consecutive triple of w; returns (report, failed check)."""
     entries = []
     failed: str | None = None
@@ -450,7 +343,7 @@ def _verify_witness(w: APWitness, cfg: RunConfig) -> tuple[dict[str, Any], str |
             family=w.family,
             params=dict(w.params),
         )
-        t = analyze_triple(sub, cfg.budget)
+        t = analyze_triple(sub, budget)
         entry = _analysis_json(t)
         entries.append(entry)
         qualities.append(t.quality)
@@ -487,21 +380,12 @@ def _load_witness_file(path: str, budget: int | None) -> list[APWitness]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     if args.witness_file:
-        witnesses = _load_witness_file(args.witness_file, cfg.budget)
+        witnesses = _load_witness_file(args.witness_file, args.budget)
     elif args.family:
+        witnesses = _family_witnesses(args.family, args)
         if args.family == "kap":
-            if cfg.k is None:
-                raise InvalidInput("--k is required for --family kap")
-            witnesses = [long_ap(cfg.k, _seed_witness(cfg.seed, cfg.budget),
-                                 cfg.budget)]
-        else:
-            if cfg.m_range is None:
-                raise InvalidInput("--m is required for family verification")
-            lo, hi = cfg.m_range
-            witnesses = [_CONSTRUCTORS[args.family](m, cfg.budget)
-                         for m in range(lo, hi + 1)]
+            witnesses = witnesses[-1:]
     else:
         raise InvalidInput("verify needs a witness file or --family")
 
@@ -509,24 +393,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = []
     first_failure: str | None = None
     for w in witnesses:
-        report, failed = _verify_witness(w, cfg)
+        report, failed = _verify_witness(w, args.budget)
         reports.append(report)
-        quality = Decimal(report["triples"][0]["quality"])
-        rows.append(
-            ReportRow(
-                family=w.family,
-                k=w.k,
-                m=w.params.get("m") if isinstance(w.params.get("m"), int) else None,
-                n=w.terms[0],
-                d=w.d,
-                theta=default_theta(w),
-                ratio=quality,
-                verified=failed is None,
-            )
-        )
+        if args.format == "csv":
+            quality = Decimal(report["triples"][0]["quality"])
+            rows.append(_row(w, default_theta(w), quality, failed is None))
         if failed and first_failure is None:
             first_failure = failed
-    _emit(reports, rows, cfg)
+    _emit(reports, rows, args)
     if first_failure is not None:
         _error("VerificationFailed", f"first failing check: {first_failure}")
         return EXIT_VERIFY
@@ -534,32 +408,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    m_range = cfg.m_range or (1, 5)
-    families_rows: list[ReportRow] = []
-    for family in (FAMILY_SQUARES3, FAMILY_PELL3, FAMILY_FOUR, FAMILY_FIVE):
-        families_rows.extend(_family_rows(family, m_range, cfg))
-    kmax = cfg.k or 9
+    rows = [_measured_row(w, args)
+            for family in (FAMILY_SQUARES3, FAMILY_PELL3, FAMILY_FOUR, FAMILY_FIVE)
+            for w in _family_witnesses(family, args)]
     constants = []
-    for k in range(5, kmax + 1):
+    for k in range(5, (args.k or 9) + 1):
         ck = ck_constants(k)
         constants.append(
             {
                 "k": k,
-                "C_k": _decimal_str(ck),
+                "C_k": str(ratio_digits(
+                    lambda: Decimal(ck.numerator) / Decimal(ck.denominator))),
                 "exponent": str(extension_exponent(k)),
             }
         )
     payload: dict[str, Any] = {
-        "families": [witness_to_json_row(r) for r in families_rows],
+        "families": list(rows),
         "constants": constants,
     }
-    rows = list(families_rows)
-    if cfg.limit is not None:
-        search_payload, search_rows = _search_payload(cfg)
+    if args.limit is not None:
+        # --k sizes the constants table and, when given, the search's AP length.
+        search_payload, search_rows = _search_payload(args, args.k or 3)
         payload["search"] = search_payload
         rows.extend(search_rows)
-    _emit(payload, rows, cfg)
+    _emit(payload, rows, args)
     return EXIT_OK
 
 
@@ -572,6 +444,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _check(args: argparse.Namespace) -> None:
+    """Reject out-of-range option values (argparse only checks their type)."""
+    for name in ("limit", "dmax", "k", "budget", "threads"):
+        v = getattr(args, name, None)
+        if v is not None and v < 1:
+            raise InvalidInput(f"--{name} must be >= 1, got {v}")
+    m_range = getattr(args, "m", None)
+    if m_range is not None:
+        lo, hi = m_range
+        if lo < 1 or hi < lo:
+            raise InvalidInput(f"bad m range {lo}..{hi}")
+    theta = getattr(args, "theta", None)
+    if theta is not None and not 0 < theta < 1:
+        raise InvalidInput(f"theta must lie in (0, 1), got {theta}")
 
 
 def _m_range(text: str) -> tuple[int, int]:
@@ -600,12 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET,
                        help="factoring work cap per number "
                        f"(default {DEFAULT_RHO_BUDGET})")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="worker threads for enumeration and scans")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
+        p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", default=None, help="write output to this file")
 
@@ -617,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index or range A..B within the family")
     p.add_argument("--k", type=int, default=None,
                    help="target length for --family kap")
-    p.add_argument("--seed", default=None,
+    p.add_argument("--seed", default=f"{FAMILY_PELL3}:1",
                    help="seed witness for kap as family:m (default pell3:1)")
     p.add_argument("--theta", type=_fraction, default=None,
                    help="override the reporting exponent")
@@ -626,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="enumerate powerful numbers and scan for APs")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="AP length (default 3)")
+    p.add_argument("--k", type=int, default=3, help="AP length (default 3)")
     p.add_argument("--dmax", type=int, default=None,
                    help="difference window; omit to skip the AP scan")
     p.add_argument("--cache", default=None,
@@ -640,13 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=families, default=None)
     p.add_argument("--m", type=_m_range, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", default=None)
+    p.add_argument("--seed", default=f"{FAMILY_PELL3}:1")
     common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="family table, growth constants, "
                        "optional search summary")
-    p.add_argument("--m", type=_m_range, default=None,
+    p.add_argument("--m", type=_m_range, default=(1, 5),
                    help="family index range (default 1..5)")
     p.add_argument("--k", type=int, default=None,
                    help="largest k for the constants table (default 9)")
@@ -663,6 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check(args)
         return args.func(args)
     except BudgetExceeded as exc:
         _error("BudgetExceeded", str(exc),

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
 from . import arith
 from .arith import (
-    RATIO_DIGITS,
     Factorization,
     PowerfulDecomp,
     decompose_square_times_squarefree,
@@ -41,6 +40,7 @@ from .arith import (
     is_powerful,
     is_squarefree,
     merged,
+    ratio_digits,
 )
 from .errors import BudgetExceeded, InvalidInput, InvalidWitness
 from .pell import PellKind, pell_solution
@@ -410,13 +410,12 @@ def theta_ratio(w: APWitness, theta: Fraction | int | str) -> Decimal:
     if not 0 < theta <= 1:
         raise InvalidInput(f"theta must lie in (0, 1], got {theta}")
     n, d = w.terms[0], w.d
-    with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + 15
+
+    def ratio() -> Decimal:
         if n == 1:
-            ratio = Decimal(d)
-        else:
-            ln_n = Decimal(n).ln()
-            power = (Decimal(theta.numerator) / Decimal(theta.denominator) * ln_n).exp()
-            ratio = Decimal(d) / power
-        ctx.prec = RATIO_DIGITS
-        return +ratio
+            return Decimal(d)
+        ln_n = Decimal(n).ln()
+        power = (Decimal(theta.numerator) / Decimal(theta.denominator) * ln_n).exp()
+        return Decimal(d) / power
+
+    return ratio_digits(ratio)

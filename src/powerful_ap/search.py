@@ -20,9 +20,9 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
-from .arith import RATIO_DIGITS, decompose_powerful, integer_nth_root
+from .arith import decompose_powerful, integer_nth_root, ratio_digits
 from .constructions import FAMILY_SEARCH, APWitness, validate_witness
 from .errors import CacheError, CapacityExceeded, InvalidInput
 
@@ -36,11 +36,7 @@ _CACHE_HEADER = re.compile(
 
 def _ratio_half(n: int, d: int) -> Decimal:
     """d / sqrt(n) to 50 significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + 10
-        r = Decimal(d) / Decimal(n).sqrt()
-        ctx.prec = RATIO_DIGITS
-        return +r
+    return ratio_digits(lambda: Decimal(d) / Decimal(n).sqrt())
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Exit codes are part of the public contract: 0 pass, 1 verification
 failure, 2 resource limit, 3 unparseable input.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -18,11 +19,35 @@ GOLDEN_PELL_CSV = (
     "4.1046686322536173367658770288037578377997793456063,true\n"
 )
 
+# sha256 of the exact stdout bytes of each command, pinned so that a
+# refactor of the report layer cannot move a single byte unnoticed.
+GOLDEN_STDOUT_SHA256 = {
+    "construct --family kap --k 5":
+        "b75f764f35eba3bd379db0cf62ef531e75b9e610d5f7e229e2c9d5a23a0f0a69",
+    "construct --family four --m 1..2":
+        "4b4fc07df14d1ff30b7a4c6f2f50a8596e1f551cf6cf540b50d0a1fb35b4288b",
+    "verify --family pell3 --m 1..3":
+        "4679b6e33f4ade51fd56441771bf74d8be4edbb66cb7c449cf4a55775d293bab",
+    "verify --family squares3 --m 1..2 --format csv":
+        "d490fad4f3983db05c672cc6b991b3b67d2815bb85692ca7988a5a6a1888692c",
+    "search --limit 1000 --dmax 100 --format csv":
+        "1fbff3db6ad1d74a1af878c1f3372d62aab93d81f6d5198d7d4558b8604be5f6",
+    "report":
+        "2c01333d7cc04536a908e373cf928ec436b46d2691d65fabbfab1fa3aa7cb667",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT_SHA256))
+def test_golden_stdout_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[command]
 
 
 class TestConstruct:
@@ -80,6 +105,17 @@ class TestConstruct:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--family", "fibonacci", "--m", "1"])
         assert exc.value.code == 3
+
+    @pytest.mark.parametrize("k, seed, detail", [
+        ("2", "pell3:1", "k must be >= 3, got 2"),
+        ("4", "five:1", "seed already has 5 > 4 terms"),
+    ])
+    def test_kap_rejects_k_verify_rejects(self, capsys, k, seed, detail):
+        for command in ("construct", "verify"):
+            code, out, err = run(capsys, command, "--family", "kap",
+                                 "--k", k, "--seed", seed)
+            assert code == 3 and out == ""
+            assert json.loads(err) == {"error": "InvalidInput", "detail": detail}
 
     def test_bad_m_range_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -195,6 +231,20 @@ class TestVerify:
         assert len(report["triples"]) == 3
         assert report["verified"] is True
 
+    def test_csv_out_non_ascii_family(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(
+            json.dumps({"k": 3, "terms": ["1", "25", "49"], "d": "24",
+                        "family": "carr\u00e9"}),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, "verify", str(path), "--format", "csv",
+                           "--out", str(out))
+        assert code == 0 and err == ""
+        assert out.read_text(encoding="utf-8").splitlines()[1].startswith(
+            "carr\u00e9,3,,1,24,")
+
     def test_csv_summary(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--family", "squares3", "--m", "1", "--format", "csv"
@@ -217,6 +267,15 @@ class TestExitCodes:
         obj = json.loads(err)
         assert obj["error"] == "BudgetExceeded"
         assert int(obj["number"]) > 1
+
+    @pytest.mark.parametrize("flag", ["--budget", "--threads"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_budget_and_threads(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--family", "pell3", "--m", "1",
+                             flag, value)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "InvalidInput",
+                                   "detail": f"{flag} must be >= 1, got {value}"}
 
     def test_malformed_json_file(self, tmp_path, capsys):
         path = tmp_path / "w.json"
