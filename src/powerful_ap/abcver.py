@@ -29,9 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Iterable
 
 from .arith import (
     PowerfulDecomp,
+    _prime_ln,
     factorize,
     is_prime,
     merged,
@@ -174,9 +176,11 @@ def _case_tag(w: APWitness, p: int, nu_d: int) -> str:
     return f"case{hits + 1}/{parity}"
 
 
-def _quality(c: int, kappa: int) -> Decimal:
-    """log(c) / log(kappa) to 50 digits: the abc quality of a triple with sum c."""
-    return ratio_digits(lambda: Decimal(c).ln() / Decimal(kappa).ln())
+def _quality(c: Iterable[tuple[int, int]], kappa: Iterable[int]) -> Decimal:
+    """log(c) / log(kappa) to 50 digits: the abc quality of a triple with
+    sum c, given as its (prime, exponent) pairs and the primes of kappa."""
+    return ratio_digits(lambda: sum(e * _prime_ln(p) for p, e in c)
+                        / sum(_prime_ln(p) for p in kappa))
 
 
 def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
@@ -185,10 +189,12 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
     Factoring is the only potentially expensive step, and `budget` caps
     the work per number.  The battery factors each a_i and b_i of the
     reduced triple and d/D once, and reuses those factorizations for the
-    radical, the per-prime table and the abc quality.  The witness checks
-    before it factor each b_i again, through is_squarefree in
-    validate_witness: once for the witness given, and once more for the
-    reduced witness when reduction changed it.
+    radical, the per-prime table and the abc quality, whose logs are
+    summed over those primes.  The witness checks before it ask for each
+    b_i again, through is_squarefree in validate_witness: once for the
+    witness given, and once more for the reduced witness when reduction
+    changed it.  Under the CLI these repeats, like every b_i met again in
+    later triples, are factor_memo hits rather than new factorings.
     """
     _require_3ap(w)
     validate_witness(w, budget)
@@ -210,15 +216,17 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
     ):
         raise ConsistencyFailure(f"quotient terms not pairwise coprime: {abc}")
 
-    fact_ab = merged(
-        *(factorize(dec.a, budget) for dec in red.decomps),
-        *(factorize(dec.b, budget) for dec in red.decomps),
-    )
+    fact_a = [factorize(dec.a, budget) for dec in red.decomps]
+    fact_b = [factorize(dec.b, budget) for dec in red.decomps]
+    fact_ab = merged(*fact_a, *fact_b)
     fact_dd = factorize(dd, budget)
     nu_ab = fact_ab.as_dict()
+    # t_2 = a_2^2 b_2^3, and c = q_2^2 with q_2 = t_2 / D
+    nu_t2 = merged(fact_a[1], fact_a[1], fact_b[1], fact_b[1], fact_b[1]).as_dict()
 
     rows = []
     quotient_radical = 1
+    fact_c = []
     for p in fact_ab.primes():
         nu_d = valuation(p, D)
         lhs = 1 if any(q % p == 0 for q in quotients) else 0
@@ -231,11 +239,17 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
         )
         if lhs:
             quotient_radical *= p
+        nu_q2 = nu_t2.get(p, 0) - nu_d
+        if nu_q2:
+            fact_c.append((p, 2 * nu_q2))
+    if math.prod(p**e for p, e in fact_c) != abc[2]:
+        raise ConsistencyFailure(f"factorization of c disagrees with {abc[2]}")
 
-    kappa = 1
-    for p in sorted(set(fact_ab.primes()) | set(fact_dd.primes())):
-        if q1 % p == 0 or q2 % p == 0 or q3 % p == 0 or dd % p == 0:
-            kappa *= p
+    kappa_primes = [
+        p for p in sorted(set(fact_ab.primes()) | set(fact_dd.primes()))
+        if q1 % p == 0 or q2 % p == 0 or q3 % p == 0 or dd % p == 0
+    ]
+    kappa = math.prod(kappa_primes)
 
     return TripleAnalysis(
         witness=w,
@@ -246,7 +260,7 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
         per_prime=tuple(rows),
         abc=abc,
         kappa=kappa,
-        quality=_quality(abc[2], kappa),
+        quality=_quality(fact_c, kappa_primes),
     )
 
 
@@ -287,9 +301,7 @@ def abc_quality(a: int, b: int, c: int, budget: int | None = None) -> Decimal:
         raise NotASum(f"{a} + {b} != {c}")
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"gcd({a}, {b}) = {math.gcd(a, b)} != 1")
-    kappa = 1
-    for p in merged(
-        factorize(a, budget), factorize(b, budget), factorize(c, budget)
-    ).primes():
-        kappa *= p
-    return _quality(c, kappa)
+    fact_a = factorize(a, budget)
+    fact_b = factorize(b, budget)
+    fact_c = factorize(c, budget)
+    return _quality(fact_c, merged(fact_a, fact_b, fact_c).primes())

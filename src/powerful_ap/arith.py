@@ -11,7 +11,16 @@ but nothing proves that none does, so a verdict that rests on a prime
 above 3.3e24 rests on BPSW.
 
 ratio_digits is the one place that sets Decimal precision: every derived
-ratio or quality the package reports goes through it.
+ratio or quality the package reports goes through it.  An abc quality
+ln c / ln kappa is summed from the logs of the primes of c and kappa, which
+a private bounded cache keeps at RATIO_DIGITS + 15 digits, so each log is
+evaluated once per process rather than once per triple.
+
+Inside factor_memo() (cli.main opens one around each command) factorize
+remembers every result that needed no rho work, keyed by the integer, so a
+number met again in the same command is not factored again.  Those results
+do not depend on the budget; results that used rho are never kept, so a
+BudgetExceeded for a given (n, budget) is raised exactly as without it.
 
 is_powerful avoids full factorization where it can: after stripping primes
 up to 10^4 it classifies the cofactor by square/cube/perfect-power root
@@ -21,10 +30,13 @@ extraction and primality tests, splitting with rho only as a last resort.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, InvalidInput, NotPowerful
 
@@ -56,6 +68,14 @@ def ratio_digits(compute: Callable[[], Decimal]) -> Decimal:
         value = compute()
         ctx.prec = RATIO_DIGITS
         return +value
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _prime_ln(p: int) -> Decimal:
+    """ln p at RATIO_DIGITS + 15 digits, for summing into ratio_digits."""
+    with localcontext() as ctx:
+        ctx.prec = RATIO_DIGITS + _GUARD_DIGITS
+        return Decimal(p).ln()
 
 
 def _prime_list() -> list[int]:
@@ -226,7 +246,15 @@ def integer_nth_root(n: int, k: int) -> int:
         return math.isqrt(n)
     if k >= n.bit_length():
         return 1
-    x = 1 << -(-n.bit_length() // k)  # >= true root
+    # Newton must start at or above the root, and close to it: from
+    # x = (1 + e) * root a step shrinks x only by about a factor (1 - 1/k)
+    # until k * e falls below 1.  log2(n) / k is a float within about
+    # 2**-50 relative of log2(root); a slack of 2**-40 relative in that
+    # exponent plus one unit keeps x above the root with k * e far below 1.
+    t = math.log2(n) / k
+    t += (t + 1) * 2.0**-40
+    shift = max(0, int(t) - 60)
+    x = (int(2.0 ** (t - shift)) + 1) << shift
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -325,6 +353,25 @@ def _factor_into(n: int, mult: int, out: dict[int, int], budget: _Budget) -> Non
         stack.append((m // d, mu))
 
 
+# integer -> Factorization while a factor_memo() is open, else None.
+_memo: contextvars.ContextVar[dict[int, Factorization] | None] = (
+    contextvars.ContextVar("factor_memo", default=None))
+
+
+@contextlib.contextmanager
+def factor_memo() -> Iterator[None]:
+    """Scope in which factorize reuses its results that needed no rho.
+
+    The memo starts empty and is dropped on exit; a nested scope gets its
+    own.  It lives in a context variable, so other threads never see it.
+    """
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
 def factorize(n: int, budget: int | None = None) -> Factorization:
     """Complete prime factorization of n >= 1.
 
@@ -333,6 +380,11 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     """
     if n < 1:
         raise InvalidInput(f"factorize requires n >= 1, got {n}")
+    memo = _memo.get()
+    if memo is not None:
+        known = memo.get(n)
+        if known is not None:
+            return known
     original = n
     acc: dict[int, int] = {}
     for p in _prime_list():
@@ -352,8 +404,11 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
         else:
             meter = _Budget(DEFAULT_RHO_BUDGET if budget is None else budget, original)
             _factor_into(n, 1, acc, meter)
+            memo = None  # rho may run here, so the result may depend on the budget
     result = Factorization(tuple(sorted(acc.items())))
     assert result.n == original
+    if memo is not None:
+        memo[original] = result
     return result
 
 

@@ -97,3 +97,15 @@ def brute_find_kaps(values: list[int], k: int, d_max: int) -> list[tuple[int, in
             if all(n + t * d in members for t in range(1, k)):
                 out.append((n, d))
     return out
+
+
+def decimal_quality(c: int, kappa: int, digits: int = 50, guard: int = 15):
+    """ln c / ln kappa straight from the two integers: evaluated with
+    digits + guard significant digits, then rounded to digits."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits + guard
+        value = Decimal(c).ln() / Decimal(kappa).ln()
+        ctx.prec = digits
+        return +value

@@ -5,6 +5,7 @@ identities (see docstrings in abcver) and pinned; everything else is
 structural or randomized.
 """
 
+import math
 from decimal import Decimal
 
 import pytest
@@ -23,6 +24,7 @@ from powerful_ap import (
     ap_witness,
     compute_D,
     extend_ap,
+    enumerate_powerful,
     find_3aps,
     lemma_check,
     pell_3ap,
@@ -32,6 +34,8 @@ from powerful_ap import (
     valuation_inequality_check,
 )
 from powerful_ap.constructions import APWitness, PowerfulDecomp, validate_witness
+
+import oracles
 
 
 def _manual_witness(terms, bs):
@@ -234,6 +238,33 @@ class TestAnalyzeBatteries:
         with pytest.raises(BudgetExceeded) as exc:
             analyze_triple(pell_3ap(48))
         assert exc.value.number is not None and exc.value.number > 1
+
+
+class TestQualityOracle:
+    """The quality summed from prime logs matches ln c / ln kappa taken
+    directly, digit for digit."""
+
+    def test_analyze_triple_matches(self):
+        witnesses = [squares_3ap(m) for m in range(1, 31)]
+        witnesses += [ap_witness(rec)
+                      for rec in find_3aps(enumerate_powerful(10**5), 10**3)]
+        assert len(witnesses) > 30
+        for w in witnesses:
+            t = analyze_triple(w)
+            expected = oracles.decimal_quality(t.abc[2], t.kappa)
+            assert str(t.quality) == str(expected), f"N={w.terms[0]} d={w.d}"
+
+    @given(st.integers(min_value=1, max_value=10**6),
+           st.integers(min_value=1, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_abc_quality_matches(self, a, b):
+        if math.gcd(a, b) != 1:
+            return
+        c = a + b
+        kappa = (oracles.brute_radical(a) * oracles.brute_radical(b)
+                 * oracles.brute_radical(c))
+        expected = oracles.decimal_quality(c, kappa)
+        assert str(abc_quality(a, b, c)) == str(expected)
 
 
 class TestAbcQuality:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from powerful_ap import (
     BudgetExceeded,
@@ -18,7 +18,8 @@ from powerful_ap import (
     radical,
     valuation,
 )
-from powerful_ap.arith import merged
+from powerful_ap import arith
+from powerful_ap.arith import factor_memo, merged
 
 import oracles
 
@@ -121,6 +122,9 @@ class TestPrimality:
 class TestNthRoot:
     @given(st.integers(min_value=0, max_value=10**40),
            st.integers(min_value=1, max_value=64))
+    @example(n=10**3000, k=4000)
+    @example(n=5**4000 - 1, k=4000)
+    @example(n=7**3001 + 1, k=3)
     @settings(max_examples=200, deadline=None)
     def test_bracketing(self, n, k):
         r = integer_nth_root(n, k)
@@ -137,6 +141,31 @@ class TestNthRoot:
             integer_nth_root(-1, 2)
         with pytest.raises(InvalidInput):
             integer_nth_root(8, 0)
+
+
+class TestFactorMemo:
+    # needs rho: both factors lie above the trial-division bound
+    RHO_N = 1000003 * 1000033
+
+    def test_inactive_outside_a_scope(self):
+        assert arith._memo.get() is None
+        with factor_memo():
+            assert arith._memo.get() == {}
+        assert arith._memo.get() is None
+
+    def test_reuses_results_without_rho(self):
+        n = 2**5 * 3**4 * 999983
+        with factor_memo():
+            first = factorize(n)
+            assert factorize(n) is first
+        assert factorize(n) is not first
+
+    def test_rho_results_stay_budgeted(self):
+        with factor_memo():
+            assert factorize(self.RHO_N).as_dict() == {1000003: 1, 1000033: 1}
+            assert self.RHO_N not in arith._memo.get()
+            with pytest.raises(BudgetExceeded):
+                factorize(self.RHO_N, budget=1)
 
 
 class TestValuationRadical:

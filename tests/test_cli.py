@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from powerful_ap import arith, cli
 from powerful_ap.cli import CACHE_ENV, main
 
 GOLDEN_PELL_CSV = (
@@ -358,3 +359,18 @@ class TestReport:
         payload = json.loads(out)
         assert payload["search"]["count"] == 14
         assert len(payload["families"]) == 8
+
+
+def test_factor_memo_lives_for_one_call(monkeypatch, capsys):
+    seen = []
+
+    def probe(args):
+        seen.append(dict(arith._memo.get()))
+        arith.factorize(2**3 * 3**5)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_construct", probe)
+    for _ in range(2):
+        assert main(["construct", "--family", "squares3", "--m", "1"]) == 0
+    assert seen == [{}, {}]
+    assert arith._memo.get() is None

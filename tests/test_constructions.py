@@ -1,3 +1,4 @@
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -264,6 +265,14 @@ class TestGrowthConstants:
             ck, cnext = ck_constants(k), ck_constants(k + 1)
             q = 5 * 3 ** (k - 4)
             assert cnext**q >= ck**q * (1 + k * ck)
+
+    def test_c11_is_fast_and_an_upper_bound(self):
+        # the k = 10 -> 11 step takes a 3645th root of a 302,717-bit number
+        start = time.perf_counter()
+        c10, c11 = ck_constants(10), ck_constants(11)
+        assert time.perf_counter() - start < 2
+        q = 5 * 3 ** (10 - 4)
+        assert c11**q >= c10**q * (1 + 10 * c10)
 
     def test_monotone_increasing(self):
         values = [ck_constants(k) for k in range(5, 11)]
