@@ -4,7 +4,8 @@ Everything here is orchestration; the mathematics lives in the library
 modules.  Two contracts shape the output:
 
 * Reports are deterministic.  The same arguments produce byte-identical
-  files regardless of thread count, so outputs can be diffed and cached.
+  files, whether the table was enumerated or loaded from a cache, so
+  outputs can be diffed and cached.
 * Exact integers are serialized as decimal strings in JSON (term values
   overflow doubles almost immediately); small structural counters like k
   and m stay native.
@@ -258,7 +259,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _search_payload(args: argparse.Namespace,
                     k: int) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     cache = args.cache or os.environ.get(CACHE_ENV) or None
-    table = table_for(args.limit, cache, args.threads)
+    table = table_for(args.limit, cache)
     runs = consecutive_check(table)
     payload: dict[str, Any] = {
         "limit": table.limit,
@@ -276,7 +277,7 @@ def _search_payload(args: argparse.Namespace,
             )
     rows: list[dict[str, Any]] = []
     if args.dmax is not None:
-        records = find_kaps(table, k, args.dmax, args.threads)
+        records = find_kaps(table, k, args.dmax)
         minima = record_min_ratio(records)
         payload["k"] = k
         payload["d_max"] = args.dmax
@@ -456,7 +457,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _check(args: argparse.Namespace) -> None:
     """Reject out-of-range option values (argparse only checks their type)."""
-    for name in ("limit", "dmax", "k", "budget", "threads"):
+    if args.func is cmd_search and args.k < 3:
+        raise InvalidInput(f"--k must be >= 3, got {args.k}")
+    for name in ("limit", "dmax", "k", "budget"):
         v = getattr(args, name, None)
         if v is not None and v < 1:
             raise InvalidInput(f"--{name} must be >= 1, got {v}")
@@ -499,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET,
                        help="factoring work cap per number "
                        f"(default {DEFAULT_RHO_BUDGET})")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for enumeration and scans")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", default=None, help="write output to this file")

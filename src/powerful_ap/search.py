@@ -2,14 +2,11 @@
 
 The table generator walks n = a^2 * b^3 over squarefree b (sieve up to
 limit^(1/3), a-loop innermost), which hits every powerful number exactly
-once.  AP search is a windowed pair scan over the sorted table with hash
-probes for the remaining terms, so the cost is (table size) * (pairs per
-d_max window) rather than quadratic.
-
-Both the enumeration and the scan can shard across threads; shards are
-merged and sorted deterministically, so any thread count produces
-byte-identical output.  Tables can be persisted to a checksummed cache
-file for repeated runs.
+once.  AP search bounds each start N's window N < N+d <= N+d_max by
+bisection and finds the third terms 2(N+d) - N among the table with one
+C-level set intersection per window, so no Python code runs per pair.
+Output is sorted by (N, d), and tables can be persisted to a checksummed
+cache file for repeated runs.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import hashlib
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -98,29 +95,15 @@ def _squarefree_flags(bound: int) -> bytearray:
     return flags
 
 
-def _emit_range(limit: int, bs: list[int]) -> list[int]:
-    out = []
-    for b in bs:
-        b3 = b * b * b
-        for a in range(1, math.isqrt(limit // b3) + 1):
-            out.append(a * a * b3)
-    return out
-
-
-def enumerate_powerful(limit: int, threads: int = 1,
+def enumerate_powerful(limit: int,
                        max_values: int = DEFAULT_MAX_VALUES) -> PowerfulTable:
-    """Build the table of all powerful numbers <= limit.
+    """Build the sorted table of all powerful numbers <= limit.
 
-    Work is sharded by squarefree-b residue classes across `threads`
-    workers; the merged result is sorted, so the output does not depend on
-    the thread count.  Raises CapacityExceeded before allocating anything
-    if the expected table size (about 2.173*sqrt(limit)) is over
-    max_values.
+    Raises CapacityExceeded before allocating anything if the expected
+    table size (about 2.173*sqrt(limit)) is over max_values.
     """
     if limit < 1:
         raise InvalidInput(f"limit must be >= 1, got {limit}")
-    if threads < 1:
-        raise InvalidInput(f"threads must be >= 1, got {threads}")
     estimate = (22 * math.isqrt(limit)) // 10 + 16
     if estimate > max_values:
         raise CapacityExceeded(
@@ -129,14 +112,11 @@ def enumerate_powerful(limit: int, threads: int = 1,
         )
     bmax = integer_nth_root(limit, 3)
     flags = _squarefree_flags(bmax)
-    bs = [b for b in range(1, bmax + 1) if flags[b]]
-    if threads == 1 or len(bs) <= threads:
-        values = _emit_range(limit, bs)
-    else:
-        shards = [bs[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: _emit_range(limit, s), shards))
-        values = [v for chunk in chunks for v in chunk]
+    values = []
+    for b in range(1, bmax + 1):
+        if flags[b]:
+            b3 = b * b * b
+            values.extend(a * a * b3 for a in range(1, math.isqrt(limit // b3) + 1))
     values.sort()
     # (a, b) -> a^2*b^3 is injective for squarefree b, so a repeat means
     # the generator is broken, not the input.
@@ -148,57 +128,38 @@ def enumerate_powerful(limit: int, threads: int = 1,
 
 # ----------------------------------------------------------------- AP search
 
-def _scan_range(values: tuple[int, ...], members: frozenset[int], k: int,
-                d_max: int, start: int, step: int) -> list[tuple[int, int]]:
-    found = []
-    total = len(values)
-    for i in range(start, total, step):
-        n = values[i]
-        for j in range(i + 1, total):
-            d = values[j] - n
-            if d > d_max:
-                break
-            if all(n + t * d in members for t in range(2, k)):
-                found.append((n, d))
-    return found
-
-
-def find_kaps(table: PowerfulTable, k: int, d_max: int,
-              threads: int = 1) -> list[APRecord]:
+def find_kaps(table: PowerfulTable, k: int, d_max: int) -> list[APRecord]:
     """All (N, d) with d <= d_max and N, N+d, ..., N+(k-1)d in the table.
 
-    Exhaustive within the window: the outer scan visits every ordered pair
-    (N, N+d) with d <= d_max, and set probes check the remaining k-2
-    terms.  A progression of length > k shows up once per starting term,
-    which keeps the k=4 output consistent with its sub-3-APs.  Sorted by
-    (N, d); thread count never changes the result.
+    Exhaustive within the window: for each start N, bisection bounds the
+    window of second terms N+d <= N+d_max, and one C-level intersection of
+    the table with {2v - N : v in window} yields every third term.  The few
+    3-AP candidates are then probed for terms 3..k-1.  The cost is one
+    O(log n) bisection per table value plus C-speed work proportional to
+    the pairs in the windows.  A progression of length > k shows up once
+    per starting term, which keeps the k=4 output consistent with its
+    sub-3-APs.  Sorted by (N, d).
     """
     if k < 3:
         raise InvalidInput(f"k must be >= 3, got {k}")
     if d_max < 0:
         raise InvalidInput(f"d_max must be >= 0, got {d_max}")
     values, members = table.values, table.members
-    if threads < 1:
-        raise InvalidInput(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        pairs = _scan_range(values, members, k, d_max, 0, 1)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(
-                    lambda s: _scan_range(values, members, k, d_max, s, threads),
-                    range(threads),
-                )
-            )
-        pairs = [p for chunk in chunks for p in chunk]
+    doubled = [2 * v for v in values]
+    pairs = []
+    for i, n in enumerate(values):
+        j = bisect_right(values, n + d_max, i + 1)
+        for third in members.intersection(map(n.__rsub__, doubled[i + 1 : j])):
+            d = (third - n) // 2
+            if all(n + t * d in members for t in range(3, k)):
+                pairs.append((n, d))
     pairs.sort()
     return [APRecord(n, d, k, _ratio_half(n, d)) for n, d in pairs]
 
 
-def find_3aps(table: PowerfulTable, d_max: int,
-              threads: int = 1) -> list[APRecord]:
+def find_3aps(table: PowerfulTable, d_max: int) -> list[APRecord]:
     """All 3-term APs with difference at most d_max."""
-    return find_kaps(table, 3, d_max, threads)
+    return find_kaps(table, 3, d_max)
 
 
 def consecutive_check(table: PowerfulTable) -> list[tuple[int, ...]]:
@@ -300,7 +261,7 @@ def load_table(path: str) -> PowerfulTable:
     return PowerfulTable(limit, values)
 
 
-def table_for(limit: int, cache_path: str | None = None, threads: int = 1,
+def table_for(limit: int, cache_path: str | None = None,
               max_values: int = DEFAULT_MAX_VALUES) -> PowerfulTable:
     """Load a matching cached table if possible, else enumerate (and save).
 
@@ -312,7 +273,7 @@ def table_for(limit: int, cache_path: str | None = None, threads: int = 1,
         table = load_table(cache_path)
         if table.limit == limit:
             return table
-    table = enumerate_powerful(limit, threads, max_values)
+    table = enumerate_powerful(limit, max_values)
     if cache_path:
         save_table(table, cache_path)
     return table

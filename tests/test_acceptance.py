@@ -7,6 +7,7 @@ cross-multiplication wherever rounding could blur a strict inequality
 m around 80).
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -33,7 +34,7 @@ from powerful_ap import (
     squares_3ap,
     validate_witness,
 )
-from powerful_ap.cli import main
+from powerful_ap.cli import CACHE_ENV, main
 
 import oracles
 
@@ -277,21 +278,28 @@ def test_09_verification_battery(table_1e8):
     )
 
 
-def test_10_thread_determinism(tmp_path, capsys):
+def test_10_thread_determinism(tmp_path, capsys, monkeypatch):
+    """Determinism: the flagship search gives the same bytes from a fresh
+    table, while writing the table cache, and from the loaded cache."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    cache = tmp_path / "table.cache"
     blobs = []
-    for threads in ("1", "4", "8"):
-        out = tmp_path / f"search-t{threads}.json"
-        code = main(
-            ["search", "--limit", str(10**8), "--dmax", str(10**6),
-             "--threads", threads, "--out", str(out)]
-        )
+    for label, extra in (("fresh", []), ("cache-write", ["--cache", str(cache)]),
+                         ("cache-load", ["--cache", str(cache)])):
+        assert cache.exists() == (label == "cache-load")
+        out = tmp_path / f"search-{label}.json"
+        code = main(["search", "--limit", str(10**8), "--dmax", str(10**6),
+                     "--out", str(out), *extra])
         capsys.readouterr()
         assert code == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+    assert hashlib.sha256(blobs[0]).hexdigest() == (
+        "c083535ceec224e87765619f304f3907f5fc314e803360e323065b317103a390"
+    )
     _pass(
-        f"10 search at limit 1e8 is byte-identical across 1/4/8 threads "
-        f"({len(blobs[0])} bytes)"
+        f"10 search at limit 1e8 is byte-identical fresh, writing and loading "
+        f"the table cache ({len(blobs[0])} bytes)"
     )
 
 

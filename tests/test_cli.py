@@ -165,18 +165,19 @@ class TestSearch:
         assert all(line.startswith("search,3,,") for line in lines[1:])
         assert all(line.endswith(",true") for line in lines[1:])
 
-    def test_output_independent_of_threads(self, tmp_path, capsys):
-        outs = []
-        for threads in ("1", "4", "8"):
-            path = tmp_path / f"t{threads}.json"
-            code, _, _ = run(
-                capsys,
-                "search", "--limit", "200000", "--dmax", "2000",
-                "--threads", threads, "--out", str(path),
-            )
-            assert code == 0
-            outs.append(path.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+    @pytest.mark.parametrize("extra", [[], ["--dmax", "10"]])
+    @pytest.mark.parametrize("k", ["2", "0"])
+    def test_k_below_3_is_rejected_with_or_without_dmax(self, capsys, k, extra):
+        code, out, err = run(capsys, "search", "--limit", "100", "--k", k, *extra)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "InvalidInput",
+                                   "detail": f"--k must be >= 3, got {k}"}
+
+    def test_threads_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--limit", "100", "--threads", "4"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -269,7 +270,7 @@ class TestExitCodes:
         assert obj["error"] == "BudgetExceeded"
         assert int(obj["number"]) > 1
 
-    @pytest.mark.parametrize("flag", ["--budget", "--threads"])
+    @pytest.mark.parametrize("flag", ["--budget"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_budget_and_threads(self, capsys, flag, value):
         code, out, err = run(capsys, "verify", "--family", "pell3", "--m", "1",

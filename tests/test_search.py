@@ -45,10 +45,6 @@ class TestEnumerate:
         expected = 2.173 * 10**4
         assert abs(len(table_1e8) - expected) / expected < 0.05
 
-    def test_thread_count_changes_nothing(self, table_1e6):
-        for threads in (2, 3, 8):
-            assert enumerate_powerful(10**6, threads=threads).values == table_1e6.values
-
     def test_capacity_guard(self):
         with pytest.raises(CapacityExceeded):
             enumerate_powerful(10**8, max_values=1000)
@@ -61,8 +57,6 @@ class TestEnumerate:
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidInput):
             enumerate_powerful(0)
-        with pytest.raises(InvalidInput):
-            enumerate_powerful(10, threads=0)
 
 
 class TestFindAPs:
@@ -99,11 +93,6 @@ class TestFindAPs:
         found = [(r.n, r.d) for r in find_kaps(sub, 4, 3 * 10**6)]
         assert (31212000, 2080800) in found
 
-    def test_thread_determinism(self, table_1e6):
-        base = find_3aps(table_1e6, 10**4)
-        for threads in (2, 5, 8):
-            assert find_3aps(table_1e6, 10**4, threads=threads) == base
-
     def test_records_carry_ratio(self, table_1e6):
         recs = find_3aps(table_1e6, 30)
         assert recs[0].n == 1 and recs[0].ratio_half == 24
@@ -114,6 +103,51 @@ class TestFindAPs:
             find_kaps(table_1e6, 2, 10)
         with pytest.raises(InvalidInput):
             find_kaps(table_1e6, 3, -1)
+
+
+@st.composite
+def _table_k_dmax(draw):
+    # PowerfulTable takes any strictly increasing values, so the scan is
+    # checked on tables that are not powerful too.
+    values = sorted(draw(st.sets(st.integers(1, 300), min_size=1, max_size=40)))
+    k = draw(st.sampled_from((3, 4, 5)))
+    d_max = draw(st.integers(0, values[-1] - values[0] + 2))
+    return values, k, d_max
+
+
+class TestFindKapsOracle:
+    """The window-intersection scan against a scan of every difference."""
+
+    @given(_table_k_dmax())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, case):
+        values, k, d_max = case
+        table = PowerfulTable(values[-1], tuple(values))
+        got = [(r.n, r.d) for r in find_kaps(table, k, d_max)]
+        assert got == sorted(oracles.brute_find_kaps(values, k, d_max))
+
+    def test_window_edge_is_inclusive(self):
+        # 1, 25, 49 has d = 24; 1, 26, 51 has d = 25.
+        table = PowerfulTable(51, (1, 25, 26, 49, 51))
+        assert [(r.n, r.d) for r in find_kaps(table, 3, 24)] == [(1, 24)]
+        assert [(r.n, r.d) for r in find_kaps(table, 3, 25)] == [(1, 24), (1, 25)]
+
+    def test_window_past_last_value(self):
+        table = PowerfulTable(49, (1, 25, 49))
+        assert [(r.n, r.d) for r in find_kaps(table, 3, 10**6)] == [(1, 24)]
+        assert find_kaps(table, 4, 10**6) == []
+
+    def test_single_value_table(self):
+        table = PowerfulTable(1, (1,))
+        for k in (3, 4, 5):
+            assert find_kaps(table, k, 0) == find_kaps(table, k, 10**6) == []
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_longer_progressions_below_1e5(self, table_1e6, k):
+        values = [v for v in table_1e6 if v <= 10**5]
+        table = PowerfulTable(10**5, tuple(values))
+        got = [(r.n, r.d) for r in find_kaps(table, k, 900)]
+        assert got and got == sorted(oracles.brute_find_kaps(values, k, 900))
 
 
 class TestConsecutive:
