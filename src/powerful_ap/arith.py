@@ -1,10 +1,15 @@
 """Integer kernel: primality, budgeted factoring, powerful-number decompositions.
 
 Everything works on plain Python ints (arbitrary precision).  Factoring is
-trial division by primes up to 10^6 followed by Brent-cycle Pollard rho on
-whatever composite cofactor remains.  Rho work is metered: each call gets
-an iteration budget and raises BudgetExceeded instead of ever returning a
-wrong or partial answer.  Primality uses the 13-base deterministic
+trial division by primes up to 10^6; each composite cofactor that remains
+is split by Brent-cycle Pollard rho for at most 2^16 steps and, if rho
+finds nothing, by the elliptic curve method (Lenstra, Ann. Math. 126
+(1987)) on Montgomery curves with a stage 2 (Math. Comp. 48 (1987)).  Both
+engines draw on one work budget per call, counted in rho steps: one step
+is about two modular multiplications, and ECM pays two units per modular
+multiplication.  When the budget runs out the call raises BudgetExceeded
+instead of ever returning a wrong or partial answer, and it does so the
+same way for the same (n, budget).  Primality uses the 13-base deterministic
 Miller-Rabin test below 3.3e24, which is a proof there, and Baillie-PSW
 above.  BPSW is a probable-prime test: no composite is known to pass it,
 but nothing proves that none does, so a verdict that rests on a prime
@@ -17,14 +22,16 @@ a private bounded cache keeps at RATIO_DIGITS + 15 digits, so each log is
 evaluated once per process rather than once per triple.
 
 Inside factor_memo() (cli.main opens one around each command) factorize
-remembers every result that needed no rho work, keyed by the integer, so a
-number met again in the same command is not factored again.  Those results
-do not depend on the budget; results that used rho are never kept, so a
-BudgetExceeded for a given (n, budget) is raised exactly as without it.
+remembers every result that needed no rho or ECM work, keyed by the
+integer, so a number met again in the same command is not factored again.
+Those results do not depend on the budget; results that used rho or ECM
+are never kept, so a BudgetExceeded for a given (n, budget) is raised
+exactly as without it.
 
 is_powerful avoids full factorization where it can: after stripping primes
 up to 10^4 it classifies the cofactor by square/cube/perfect-power root
-extraction and primality tests, splitting with rho only as a last resort.
+extraction and primality tests, splitting with rho and ECM only as a last
+resort.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import bisect
 import contextlib
 import contextvars
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -46,6 +54,8 @@ _GUARD_DIGITS = 15
 
 TRIAL_DIVISION_BOUND = 10**6
 SMALL_PRIME_BOUND = 10**4  # stripping bound for the is_powerful fast path
+# Factoring work per number, in rho steps (about two modular
+# multiplications each); ECM draws on the same meter.
 DEFAULT_RHO_BUDGET = 4_000_000
 
 # Largest n for which Miller-Rabin with the fixed 13-base set is a proof.
@@ -278,12 +288,18 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
 # ------------------------------------------------------------------- budget
 
 class _Budget:
-    """Mutable rho-iteration meter shared across one factoring call."""
+    """Mutable work meter shared across one factoring call.
+
+    One unit is one rho step, about two modular multiplications; ECM pays
+    two units per modular multiplication.  Work is paid for before it is
+    done, so a result reached at one budget is reached, unchanged, at every
+    larger one.
+    """
 
     __slots__ = ("remaining", "number")
 
-    def __init__(self, iterations: int, number: int):
-        self.remaining = iterations
+    def __init__(self, units: int, number: int):
+        self.remaining = units
         self.number = number
 
     def spend(self, amount: int) -> None:
@@ -295,10 +311,11 @@ class _Budget:
             )
 
 
-def _brent_rho(n: int, budget: _Budget) -> int:
-    """A nontrivial factor of composite n (no prime factors <= 10^6, not a
-    perfect power).  Deterministic: fixed start x0=2 and polynomial offsets
-    c = 1, 2, 3, ... so results never depend on external randomness."""
+def _brent_rho(n: int, budget: _Budget) -> int | None:
+    """A nontrivial factor of composite n (not a perfect power), or None if
+    every offset c < 10^4 cycles without a split.  Deterministic: fixed start
+    x0=2 and polynomial offsets c = 1, 2, 3, ... so results never depend on
+    external randomness."""
     batch = 128
     for c in range(1, 10_000):
         y, r, q = 2, 1, 1
@@ -329,7 +346,176 @@ def _brent_rho(n: int, budget: _Budget) -> int:
         if g != n:
             return g
         # cycle found the trivial divisor; retry with the next offset
-    raise BudgetExceeded(f"rho failed on {n}", number=budget.number)
+    return None
+
+
+# ECM parameters.  Rho finds factors up to about 10^9 within its share;
+# B1 = 2000 and B2 = 100 * B1 suit the 10- to 20-digit factors beyond.
+# D = 2*3*5*7*11, so the baby steps are the 240 odd j < D/2 prime to D.
+_RHO_SHARE = 1 << 16
+_ECM_B1 = 2000
+_ECM_B2 = 100 * _ECM_B1
+_ECM_D = 2310
+# Modular multiplications (squarings included) per x-only operation.
+_XDBL, _XADD = 5, 6
+
+
+@functools.cache
+def _ecm_plan() -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
+    """Constants of every ECM curve, derived once from _prime_list().
+
+    Returns the stage-1 multiplier k (every prime power up to B1); for each
+    giant step m = 1, 2, ... the indices, among the odd j < D/2 prime to D,
+    of every j with m*D - j or m*D + j a prime in (B1, B2]; and the modular
+    multiplications of stage 1 (curve set-up included) and of stage 2.
+    """
+    primes = _prime_list()
+    lo = bisect.bisect_right(primes, _ECM_B1)
+    k = 1
+    for p in primes[:lo]:
+        q = p
+        while q * p <= _ECM_B1:
+            q *= p
+        k *= q
+    half = _ECM_D // 2
+    babies = tuple(j for j in range(1, half, 2) if math.gcd(j, _ECM_D) == 1)
+    index = {j: i for i, j in enumerate(babies)}
+    giants: list[set[int]] = [set() for _ in range((_ECM_B2 + half) // _ECM_D)]
+    for p in primes[lo : bisect.bisect_right(primes, _ECM_B2)]:
+        m = (p + half) // _ECM_D
+        giants[m - 1].add(index[abs(p - m * _ECM_D)])
+    plan = tuple(tuple(sorted(g)) for g in giants)
+    # set-up: 10 (u^3, v^3, (v-u)^3, products, inverse); ladder: one xDBL,
+    # then one xADD and one xDBL per further bit
+    stage1 = 10 + _XDBL + (k.bit_length() - 1) * (_XADD + _XDBL)
+    # baby steps: 2Q, then each odd jQ up to D/2; giant steps: D*Q by
+    # ladder, 2DQ, then one xADD per step; four multiplications per point
+    # to make Z = 1; one per (m, j) pair
+    ladder_d = _XDBL + (_ECM_D.bit_length() - 1) * (_XADD + _XDBL)
+    stage2 = (_XDBL + half // 2 * _XADD + ladder_d + _XDBL
+              + (len(plan) - 2) * _XADD + 4 * (len(babies) + len(plan))
+              + sum(map(len, plan)))
+    return k, plan, stage1, stage2
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """(X:Z) of 2P for P = (x:z) on the Montgomery curve with (A+2)/4 = a24."""
+    s, t = (x + z) ** 2 % n, (x - z) ** 2 % n
+    d = s - t
+    return s * t % n, d * (t + a24 * d) % n
+
+
+def _xadd(x1: int, z1: int, x2: int, z2: int, xd: int, zd: int,
+          n: int) -> tuple[int, int]:
+    """(X:Z) of P1 + P2 from P1, P2 and P1 - P2 = (xd:zd)."""
+    u, v = (x1 - z1) * (x2 + z2), (x1 + z1) * (x2 - z2)
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(x: int, z: int, k: int, a24: int, n: int) -> tuple[int, int]:
+    """(X:Z) of k*P for P = (x:z), k >= 2, by the Montgomery ladder: the
+    pair (jP, (j+1)P) has difference P throughout."""
+    x1, z1 = x, z
+    x2, z2 = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x1, z1 = _xadd(x1, z1, x2, z2, x, z, n)
+            x2, z2 = _xdbl(x2, z2, a24, n)
+        else:
+            x2, z2 = _xadd(x1, z1, x2, z2, x, z, n)
+            x1, z1 = _xdbl(x1, z1, a24, n)
+    return x1, z1
+
+
+def _ecm(n: int, budget: _Budget) -> int:
+    """A nontrivial factor of composite n by the elliptic curve method.
+
+    Curve sigma = 6, 7, 8, ... is Suyama's Montgomery curve with starting
+    point (u^3 : v^3), u = sigma^2 - 5, v = 4*sigma (Montgomery, Math. Comp.
+    48 (1987)).  Stage 1 multiplies by every prime power up to B1; stage 2
+    pairs giant steps m*D*Q with baby steps j*Q and catches one more prime
+    p = m*D +- j up to B2 in the product of x(mD*Q) - x(j*Q).  Each stage is
+    paid for before it runs; the loop ends only with a factor or with
+    BudgetExceeded.
+    """
+    k, plan, stage1, stage2 = _ecm_plan()
+    for sigma in itertools.count(6):
+        budget.spend(2 * stage1)
+        u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+        x, z = pow(u, 3, n), pow(v, 3, n)
+        den = 16 * x * v % n
+        g = math.gcd(den, n)
+        if g != 1:
+            if g != n:
+                return g
+            continue
+        a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+        x, z = _ladder(x, z, k, a24, n)
+        g = math.gcd(z, n)
+        if g == n:
+            continue
+        if g != 1:
+            return g
+
+        budget.spend(2 * stage2)
+        # baby steps jQ for odd j < D/2: (j+2)Q = jQ + 2Q, difference
+        # (j-2)Q; for j = 1 that is -Q, whose X:Z is Q's
+        x2, z2 = _xdbl(x, z, a24, n)
+        points = []
+        xp, zp, xc, zc = x, z, x, z
+        for j in range(1, _ECM_D // 2, 2):
+            if math.gcd(j, _ECM_D) == 1:
+                points.append((xc, zc))
+            xp, zp, (xc, zc) = xc, zc, _xadd(xc, zc, x2, z2, xp, zp, n)
+        # giant steps mG, G = D*Q: (m+1)G = mG + G, difference (m-1)G
+        xg, zg = _ladder(x, z, _ECM_D, a24, n)
+        xp, zp, (xc, zc) = xg, zg, _xdbl(xg, zg, a24, n)
+        points += [(xp, zp), (xc, zc)]
+        for _ in range(len(plan) - 2):
+            xp, zp, (xc, zc) = xc, zc, _xadd(xc, zc, xg, zg, xp, zp, n)
+            points.append((xc, zc))
+        # x = X/Z of every point with one inversion (Montgomery's trick); a
+        # Z that shares a factor with n is a find in itself
+        prefix = [1]
+        for _, zc in points:
+            prefix.append(prefix[-1] * zc % n)
+        g = math.gcd(prefix[-1], n)
+        if g != 1:
+            if g != n:
+                return g
+            continue
+        inv = pow(prefix[-1], -1, n)
+        xs = [0] * len(points)
+        for i in range(len(points) - 1, -1, -1):
+            xc, zc = points[i]
+            xs[i] = xc * prefix[i] * inv % n
+            inv = inv * zc % n
+        # if Q has prime order p = m*D +- j modulo a prime q of n, then
+        # mD*Q = -+j*Q there, and x(mD*Q) - x(j*Q) vanishes mod q
+        giants = len(xs) - len(plan)
+        acc = 1
+        for xg, js in zip(xs[giants:], plan):
+            for i in js:
+                acc = acc * (xg - xs[i]) % n
+        g = math.gcd(acc, n)
+        if 1 < g < n:
+            return g
+
+
+def _split(n: int, budget: _Budget) -> int:
+    """A nontrivial factor of composite n (not a perfect power).
+
+    Rho runs first, exactly as on its own, for at most 2**16 units of the
+    budget; if it finds nothing, ECM spends the rest.
+    """
+    share = min(_RHO_SHARE, budget.remaining)
+    meter = _Budget(share, budget.number)
+    try:
+        d = _brent_rho(n, meter)
+    except BudgetExceeded:
+        d = None
+    budget.spend(share - max(meter.remaining, 0))
+    return d if d is not None else _ecm(n, budget)
 
 
 def _factor_into(n: int, mult: int, out: dict[int, int], budget: _Budget) -> None:
@@ -347,7 +533,7 @@ def _factor_into(n: int, mult: int, out: dict[int, int], budget: _Budget) -> Non
         if pp is not None:
             stack.append((pp[0], mu * pp[1]))
             continue
-        d = _brent_rho(m, budget)
+        d = _split(m, budget)
         assert 1 < d < m and m % d == 0
         stack.append((d, mu))
         stack.append((m // d, mu))
@@ -360,7 +546,7 @@ _memo: contextvars.ContextVar[dict[int, Factorization] | None] = (
 
 @contextlib.contextmanager
 def factor_memo() -> Iterator[None]:
-    """Scope in which factorize reuses its results that needed no rho.
+    """Scope in which factorize reuses its results that needed no rho or ECM.
 
     The memo starts empty and is dropped on exit; a nested scope gets its
     own.  It lives in a context variable, so other threads never see it.
@@ -375,7 +561,9 @@ def factor_memo() -> Iterator[None]:
 def factorize(n: int, budget: int | None = None) -> Factorization:
     """Complete prime factorization of n >= 1.
 
-    Raises BudgetExceeded if the rho iteration budget runs out on a hard
+    Trial division by the primes up to 10^6, then rho and ECM on what is
+    left, all on `budget` units (rho steps, default DEFAULT_RHO_BUDGET).
+    Raises BudgetExceeded, naming n, if the budget runs out on a hard
     cofactor; never returns an unverified factorization.
     """
     if n < 1:
@@ -404,7 +592,7 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
         else:
             meter = _Budget(DEFAULT_RHO_BUDGET if budget is None else budget, original)
             _factor_into(n, 1, acc, meter)
-            memo = None  # rho may run here, so the result may depend on the budget
+            memo = None  # rho/ECM may run here, so the result may depend on the budget
     result = Factorization(tuple(sorted(acc.items())))
     assert result.n == original
     if memo is not None:
@@ -457,8 +645,8 @@ def _powerful_core(c: int, budget: _Budget) -> bool:
 
     Root extraction and primality tests settle the common shapes (1, perfect
     square/cube/power, prime) without factoring; only mixed-exponent leftovers
-    get split with rho, peeling one prime at a time so a huge square factor
-    can still be recognized cheaply once the small part is gone.
+    get split with rho and ECM, peeling one prime at a time so a huge square
+    factor can still be recognized cheaply once the small part is gone.
     """
     while True:
         if c == 1:
@@ -471,10 +659,10 @@ def _powerful_core(c: int, budget: _Budget) -> bool:
         pp = _perfect_power(c)
         if pp is not None:
             return True  # exponents all multiples of pp[1] >= 2
-        d = _brent_rho(c, budget)
+        d = _split(c, budget)
         while not is_prime(d):
             sub = _perfect_power(d)
-            d = sub[0] if sub is not None else _brent_rho(d, budget)
+            d = sub[0] if sub is not None else _split(d, budget)
         e = 0
         while c % d == 0:
             c //= d

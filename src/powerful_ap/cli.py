@@ -457,7 +457,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _check(args: argparse.Namespace) -> None:
     """Reject out-of-range option values (argparse only checks their type)."""
-    if args.func is cmd_search and args.k < 3:
+    # --k is the AP length of a search, and of report's search section
+    searches = args.func is cmd_search or (
+        args.func is cmd_report and args.limit is not None)
+    if searches and args.k is not None and args.k < 3:
         raise InvalidInput(f"--k must be >= 3, got {args.k}")
     for name in ("limit", "dmax", "k", "budget"):
         v = getattr(args, name, None)
@@ -500,8 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET,
-                       help="factoring work cap per number "
-                       f"(default {DEFAULT_RHO_BUDGET})")
+                       help="factoring work cap per number for rho and then "
+                       "ECM, in units of one rho step (about two modular "
+                       f"multiplications; default {DEFAULT_RHO_BUDGET})")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", default=None, help="write output to this file")

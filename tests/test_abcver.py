@@ -234,10 +234,20 @@ class TestAnalyzeBatteries:
             assert analyze_triple(sub).all_ok()
 
     def test_budget_exhaustion_is_loud(self):
-        # m=48 hits a hard semiprime inside the a-parts at the default budget
+        # m=48's a-parts hold the 15-digit prime 195418370547079, which
+        # rho alone missed at the default budget and ECM now finds
+        t = analyze_triple(pell_3ap(48))
+        assert t.all_ok() and t.D == 4
+        primes = {row.p for row in t.per_prime}
+        assert {4463, 195418370547079, 7720033903045593593} <= primes
+        # (c^2, 25c^2, 49c^2) with c a product of two primes above 10^25:
+        # factoring the a-parts c, 5c, 7c cannot finish at the default budget
+        p, q = oracles.OUT_OF_REACH
+        c = p * q
+        w = _manual_witness([c * c, 25 * c * c, 49 * c * c], [1, 1, 1])
         with pytest.raises(BudgetExceeded) as exc:
-            analyze_triple(pell_3ap(48))
-        assert exc.value.number is not None and exc.value.number > 1
+            analyze_triple(w)
+        assert exc.value.number == c
 
 
 class TestQualityOracle:

@@ -251,7 +251,7 @@ def test_09_verification_battery(table_1e8):
         completed.append(m)
         if not (t.all_ok() and radical_inequality_check(t)):
             failures.append(("pell", m))
-    assert completed == [65, 77]
+    assert completed == [54, 56, 65, 77]
 
     # exhaustive small-parameter sweep of the valuation lemma
     checks = 0

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from powerful_ap import (
@@ -70,13 +71,15 @@ class TestFactorize:
         assert factorize(p * q).as_dict() == {p: 1, q: 1}
 
     def test_rho_on_balanced_semiprime(self):
-        # ~3e13 factors need ~5e6 rho iterations: just past the default
-        # budget (a frozen boundary), comfortably inside a raised one
+        # ~3e13 factors need ~5e6 rho steps, past the default budget; rho
+        # stops after its 2^16-unit share and ECM splits them inside it
         p, q = 29996224275833, 29996224275851  # both prime
-        with pytest.raises(BudgetExceeded):
-            factorize(p * q)
-        f = factorize(p * q, budget=10**8)
-        assert f.as_dict() == {p: 1, q: 1}
+        assert factorize(p * q).as_dict() == {p: 1, q: 1}
+        # two factors above 10^25 stay beyond the default budget
+        big_p, big_q = oracles.OUT_OF_REACH
+        with pytest.raises(BudgetExceeded) as info:
+            factorize(big_p * big_q)
+        assert info.value.number == big_p * big_q
 
     def test_perfect_power_shortcut(self):
         p = 1000000007
@@ -92,6 +95,91 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):
             factorize(0)
+
+
+def _outcome(n, budget):
+    """factorize(n, budget) as a comparable value: the factors, or the
+    number a BudgetExceeded names."""
+    try:
+        return factorize(n, budget).as_dict()
+    except BudgetExceeded as exc:
+        return ("exceeded", exc.number)
+
+
+class TestSplitEngine:
+    """Rho for 2^16 units, then ECM, on one budget meter."""
+
+    # (start, start) pairs for sympy.nextprime: factors of 11 to 15 digits,
+    # which rho's 2^16-unit share does not reach
+    STARTS = [(3 * 10**10, 7 * 10**11), (10**12, 5 * 10**12),
+              (2 * 10**13, 9 * 10**13), (10**10, 10**14), (6 * 10**13, 3 * 10**14)]
+
+    @pytest.mark.parametrize("starts", STARTS)
+    def test_semiprimes_against_sympy(self, starts):
+        p, q = (sympy.nextprime(s) for s in starts)
+        with pytest.raises(BudgetExceeded):
+            factorize(p * q, budget=arith._RHO_SHARE)  # rho alone
+        f = factorize(p * q).as_dict()
+        assert f == {p: 1, q: 1}
+        assert all(sympy.isprime(r) for r in f)
+
+    def test_out_of_reach_primes_are_prime(self):
+        assert all(sympy.isprime(p) for p in oracles.OUT_OF_REACH)
+
+    # curve sigma = 6 finds each p only in stage 2, through the product of
+    # x(mD*Q) - x(j*Q).  The first is missed by sigma = 7 and by giant steps
+    # one off; the others need the largest or the smallest j of a giant step.
+    @pytest.mark.parametrize("p", [1000000001201, 1000000054813, 1000000068031])
+    def test_stage_two_find(self, p):
+        # the budget for rho's share and one whole curve splits n, the
+        # budget for rho's share and stage 1 alone does not
+        q = oracles.OUT_OF_REACH[0]
+        _, _, stage1, stage2 = arith._ecm_plan()
+        with pytest.raises(BudgetExceeded):
+            factorize(p * q, budget=arith._RHO_SHARE + 2 * stage1)
+        f = factorize(p * q, budget=arith._RHO_SHARE + 2 * (stage1 + stage2))
+        assert f.as_dict() == {p: 1, q: 1}
+
+    # factors from 8 to 19 digits: rho finds some inside its share, ECM
+    # the others after a few curves
+    POOL = [15485863 * 15485867 * 32452843,
+            30000000001 * 700000000009,
+            1000000000063 * 5000000000053,
+            195418370547079 * 7720033903045593593,
+            29996224275833**2 * 1000003]
+
+    # the least budget that completes: rho alone splits the first two, so
+    # these pin rho's own charges; then rho's share plus one curve, and
+    # pell3 m=48's 15-digit factor on the seventh curve
+    @pytest.mark.parametrize("n,least", [(POOL[0], 22_012), (POOL[4], 3_198),
+                                         (POOL[1], 167_420), (POOL[3], 778_724)])
+    def test_least_completing_budget(self, n, least):
+        assert _outcome(n, least - 1) == ("exceeded", n)
+        assert isinstance(_outcome(n, least), dict)
+
+    # integer draws lean to small values; a coarse step spreads budgets
+    # across rho's share and the first few curves
+    BUDGETS = st.builds(lambda a, b: 50_000 * a + b,
+                        st.integers(0, 6), st.integers(1, 50_000))
+
+    @given(st.sampled_from(POOL), BUDGETS, BUDGETS)
+    @settings(max_examples=8, deadline=None)
+    def test_budget_outcome_repeats_and_only_grows(self, n, budget, extra):
+        first = _outcome(n, budget)
+        assert _outcome(n, budget) == first
+        if isinstance(first, dict):
+            assert _outcome(n, budget + extra) == first
+        else:
+            assert first == ("exceeded", n)
+
+    def test_is_powerful_reaches_ecm(self):
+        # 13-digit primes: the budget of rho's share alone runs out, the
+        # default budget settles both verdicts through ECM
+        p, q = 1000000000039, 5000000000053
+        for n, verdict in ((p * p * q**3, True), (p * p * q, False)):
+            with pytest.raises(BudgetExceeded):
+                is_powerful(n, budget=arith._RHO_SHARE)
+            assert is_powerful(n) is verdict
 
 
 class TestPrimality:
@@ -219,9 +307,13 @@ class TestIsPowerful:
 
     def test_opaque_structured_value_fails_loud(self):
         # M61^2 * M89^3 is powerful, but membership testing works by
-        # factoring and its smallest prime is 2^61-1; no budget reaches
-        # that, so the contract is a loud failure naming the blocker
-        n = M61**2 * M89**3
+        # factoring it; rho cannot reach its smallest prime 2^61-1, and
+        # the 32nd ECM curve splits it off inside the default budget
+        assert is_powerful(M61**2 * M89**3)
+        # with primes above 10^25 no curve the default budget pays for
+        # splits it, so the contract is a loud failure naming the blocker
+        p, q = oracles.OUT_OF_REACH
+        n = p**2 * q**3
         with pytest.raises(BudgetExceeded) as info:
             is_powerful(n)
         assert info.value.number == n

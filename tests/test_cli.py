@@ -12,6 +12,8 @@ import pytest
 from powerful_ap import arith, cli
 from powerful_ap.cli import CACHE_ENV, main
 
+import oracles
+
 GOLDEN_PELL_CSV = (
     "family,k,m,N,d,theta,ratio,verified\n"
     "pell3,3,1,392,92,1/2,"
@@ -263,12 +265,24 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"] == "CapacityExceeded"
 
-    def test_budget_exhaustion_names_the_number(self, capsys):
-        code, _, err = run(capsys, "verify", "--family", "pell3", "--m", "48")
-        assert code == 2
+    def test_budget_exhaustion_names_the_number(self, capsys, tmp_path):
+        # m=48 used to exhaust the default budget; ECM now completes it
+        code, out, _ = run(capsys, "verify", "--family", "pell3", "--m", "48")
+        assert code == 0
+        assert json.loads(out)[0]["verified"] is True
+        # a term c^2 with c a product of two primes above 10^25 cannot be
+        # decomposed at the default budget
+        p, q = oracles.OUT_OF_REACH
+        c = p * q
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"k": 3, "terms": [str(c * c), str(25 * c * c),
+                                                      str(49 * c * c)],
+                                    "d": str(24 * c * c), "family": "adhoc"}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and out == ""
         obj = json.loads(err)
         assert obj["error"] == "BudgetExceeded"
-        assert int(obj["number"]) > 1
+        assert int(obj["number"]) == c * c
 
     @pytest.mark.parametrize("flag", ["--budget"])
     @pytest.mark.parametrize("value", ["0", "-1"])
@@ -360,6 +374,21 @@ class TestReport:
         payload = json.loads(out)
         assert payload["search"]["count"] == 14
         assert len(payload["families"]) == 8
+
+    @pytest.mark.parametrize("extra", [[], ["--dmax", "10"]])
+    @pytest.mark.parametrize("k", ["2", "0"])
+    def test_k_below_3_is_rejected_with_limit(self, capsys, k, extra):
+        code, out, err = run(capsys, "report", "--k", k, "--limit", "100", *extra)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "InvalidInput",
+                                   "detail": f"--k must be >= 3, got {k}"}
+
+    def test_k_2_without_limit_sizes_an_empty_constants_table(self, capsys):
+        code, out, err = run(capsys, "report", "--k", "2")
+        assert code == 0 and err == ""
+        assert json.loads(out)["constants"] == []
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "73651a3e079fec4ab8c86bf0369b91b9a7bab587fe37c98328d8b2ff03197ee5")
 
 
 def test_factor_memo_lives_for_one_call(monkeypatch, capsys):
