@@ -504,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET,
                        help="factoring work cap per number for rho and then "
-                       "ECM, in units of one rho step (about two modular "
-                       f"multiplications; default {DEFAULT_RHO_BUDGET})")
+                       "ECM, in units of one rho step (1.5 modular "
+                       "multiplications on average; ECM pays two units per "
+                       f"multiplication; default {DEFAULT_RHO_BUDGET})")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")
         p.add_argument("--out", default=None, help="write output to this file")

@@ -29,6 +29,16 @@ def brute_factor(n: int) -> dict[int, int]:
     return out
 
 
+def sieve_primes(limit: int) -> list[int]:
+    """Primes up to limit by a plain sieve of Eratosthenes over every integer."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    return [i for i in range(2, limit + 1) if sieve[i]]
+
+
 def brute_is_powerful(n: int) -> bool:
     return all(e >= 2 for e in brute_factor(n).values())
 

@@ -57,7 +57,13 @@ class TestFactorization:
 
 
 class TestFactorize:
-    @pytest.mark.parametrize("n", [1, 2, 4, 97, 360, 516913, 2**20, 3**10 * 5**3])
+    # the last values sit on the edges of trial division: 999983 is the
+    # largest prime below 10^6, 1000003 the smallest above it, and 8161 and
+    # 8167 end the first block of primes and start the second
+    @pytest.mark.parametrize("n", [
+        1, 2, 4, 97, 360, 516913, 2**20, 3**10 * 5**3,
+        999983, 999983**2, 999983**3, 2**60, 1000003 * 999983, 999979 * 999983,
+        2 * 999983, 3**2 * 8161 * 8167, 8161**2 * 8167**2])
     def test_matches_brute(self, n):
         assert factorize(n).as_dict() == oracles.brute_factor(n)
 
@@ -95,6 +101,92 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):
             factorize(0)
+
+
+# primes per block of trial division, and the large primes that end the
+# hypothesis products: just above 10^12, 2^61 - 1, and one above 3.3e24
+# whose primality is settled by BPSW
+BLOCK = arith._TRIAL_BLOCK
+LARGE_PRIMES = (1000000000039, M61, oracles.OUT_OF_REACH[0])
+
+
+def _edge_factors():
+    """(the last prime of block k - 1, the first of block k) for each k."""
+    primes = arith._prime_list()
+    return [(primes[k - 1], primes[k]) for k in range(BLOCK, len(primes), BLOCK)]
+
+
+class TestTrialDivision:
+    """Trial division by one gcd per block of primes up to 10^6."""
+
+    def test_prime_list_matches_plain_sieve(self):
+        primes = arith._prime_list()
+        assert primes == oracles.sieve_primes(arith.TRIAL_DIVISION_BOUND)
+        assert len(primes) == 78498
+        assert (primes[0], primes[-1]) == (2, 999983)
+        assert 999983 in primes
+
+    @pytest.mark.parametrize("big", [1, LARGE_PRIMES[-1]])
+    def test_block_edges(self, big):
+        # the pair at each block edge, alone (n <= 10^12: the last block
+        # below sqrt(n) is divided prime by prime) and times a prime above
+        # 10^6, which makes every block go through its gcd
+        for p, q in _edge_factors():
+            expected = {p: 1, q: 1, big: 1} if big > 1 else {p: 1, q: 1}
+            assert factorize(p * q * big).as_dict() == expected
+            assert factorize(p * p * q**3 * big).as_dict() == {**expected, p: 2, q: 3}
+
+    def test_small_prime_times_bpsw_prime(self):
+        big = oracles.OUT_OF_REACH[1]
+        assert big > arith._MR_DETERMINISTIC_BOUND
+        for p in (2, 8161, 8167, 999983):
+            assert factorize(p * big).as_dict() == {p: 1, big: 1}
+            assert factorize(p**3 * big).as_dict() == {p: 3, big: 1}
+
+    @pytest.mark.parametrize("p,e", [(2, 400), (3, 250), (8161, 60), (8167, 60),
+                                     (999983, 40)])
+    def test_high_powers(self, p, e):
+        assert factorize(p**e).as_dict() == {p: e}
+        assert factorize(p**e * M61).as_dict() == {p: e, M61: 1}
+
+    # indices into the prime list: uniform, or on either side of a block edge
+    INDEX = st.one_of(
+        st.integers(0, 78497),
+        st.builds(lambda k, side: k * BLOCK + side,
+                  st.integers(1, 78497 // BLOCK), st.sampled_from([-1, 0])))
+
+    @given(st.dictionaries(INDEX, st.integers(1, 4), max_size=6),
+           st.sampled_from([1, *LARGE_PRIMES]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_products(self, exponents, big):
+        primes = arith._prime_list()
+        expected = {primes[i]: e for i, e in exponents.items()}
+        if big > 1:
+            expected[big] = 1
+        n = math.prod(p**e for p, e in expected.items())
+        assert factorize(n).as_dict() == expected
+
+    # a smooth part times an arbitrary cofactor up to 10^15, checked
+    # against sympy's factorint
+    @given(st.lists(st.integers(0, 78497), max_size=4),
+           st.integers(1, 10**15))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy(self, indices, cofactor):
+        primes = arith._prime_list()
+        n = cofactor * math.prod(primes[i] for i in indices)
+        assert factorize(n).as_dict() == sympy.factorint(n)
+
+    def test_products_are_built_lazily(self):
+        # a block's product is built only when a number reaches its gcd
+        arith._block_product.cache_clear()
+        (p, q), = _edge_factors()[:1]
+        factorize(2)
+        factorize(p * p - 2)
+        assert arith._block_product.cache_info().currsize == 0
+        factorize(p * q)
+        assert arith._block_product.cache_info().currsize == 1
+        factorize(10**12 + 39)
+        assert arith._block_product.cache_info().currsize == -(-78498 // BLOCK)
 
 
 def _outcome(n, budget):
