@@ -64,7 +64,6 @@ from .constructions import (
 )
 from .errors import (
     BudgetExceeded,
-    CacheError,
     CapacityExceeded,
     ConsistencyFailure,
     InvalidInput,
@@ -84,10 +83,7 @@ from .search import (
     enumerate_powerful,
     find_3aps,
     find_kaps,
-    load_table,
     record_min_ratio,
-    save_table,
-    table_for,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +92,6 @@ __all__ = [
     "APRecord",
     "APWitness",
     "BudgetExceeded",
-    "CacheError",
     "CapacityExceeded",
     "ConsistencyFailure",
     "DEFAULT_RHO_BUDGET",
@@ -140,7 +135,6 @@ __all__ = [
     "iter_pell_neg",
     "iter_pell_pos",
     "lemma_check",
-    "load_table",
     "long_ap",
     "pell_3ap",
     "pell_solution",
@@ -149,9 +143,7 @@ __all__ = [
     "ratio_bound_holds",
     "record_min_ratio",
     "reduce_triple",
-    "save_table",
     "squares_3ap",
-    "table_for",
     "theta_ratio",
     "valuation",
     "valuation_inequality_check",

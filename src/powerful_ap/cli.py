@@ -4,8 +4,7 @@ Everything here is orchestration; the mathematics lives in the library
 modules.  Two contracts shape the output:
 
 * Reports are deterministic.  The same arguments produce byte-identical
-  files, whether the table was enumerated or loaded from a cache, so
-  outputs can be diffed and cached.
+  files, so outputs can be diffed.
 * Exact integers are serialized as decimal strings in JSON (term values
   overflow doubles almost immediately); small structural counters like k
   and m stay native.
@@ -25,10 +24,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
-import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -56,7 +55,6 @@ from .constructions import (
 )
 from .errors import (
     BudgetExceeded,
-    CacheError,
     CapacityExceeded,
     ConsistencyFailure,
     InvalidInput,
@@ -67,17 +65,15 @@ from .search import (
     APRecord,
     ap_witness,
     consecutive_check,
+    enumerate_powerful,
     find_kaps,
     record_min_ratio,
-    table_for,
 )
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_RESOURCE = 2
 EXIT_PARSE = 3
-
-CACHE_ENV = "POWERFUL_AP_CACHE"
 
 _CONSTRUCTORS: dict[str, Callable[..., APWitness]] = {
     FAMILY_SQUARES3: lambda m, budget: squares_3ap(m),
@@ -258,8 +254,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def _search_payload(args: argparse.Namespace,
                     k: int) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    cache = args.cache or os.environ.get(CACHE_ENV) or None
-    table = table_for(args.limit, cache)
+    table = enumerate_powerful(args.limit)
     runs = consecutive_check(table)
     payload: dict[str, Any] = {
         "limit": table.limit,
@@ -466,6 +461,8 @@ def _check(args: argparse.Namespace) -> None:
         v = getattr(args, name, None)
         if v is not None and v < 1:
             raise InvalidInput(f"--{name} must be >= 1, got {v}")
+    if args.func is cmd_report and args.dmax is not None and args.limit is None:
+        raise InvalidInput("--dmax needs --limit")
     m_range = getattr(args, "m", None)
     if m_range is not None:
         lo, hi = m_range
@@ -493,7 +490,9 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad fraction {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parse_args keeps no state)."""
     parser = _Parser(
         prog="powerful-ap",
         description="Construct, search for, and verify arithmetic "
@@ -531,8 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3, help="AP length (default 3)")
     p.add_argument("--dmax", type=int, default=None,
                    help="difference window; omit to skip the AP scan")
-    p.add_argument("--cache", default=None,
-                   help=f"table cache file (default ${CACHE_ENV})")
     common(p)
     p.set_defaults(func=cmd_search)
 
@@ -556,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "3); the C_k work grows like 3^k digits, so k >= 13 is slow")
     p.add_argument("--limit", type=int, default=None,
                    help="add a search section up to this bound")
-    p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--cache", default=None)
+    p.add_argument("--dmax", type=int, default=None,
+                   help="difference window of the search section; needs --limit")
     common(p)
     p.set_defaults(func=cmd_report)
     return parser
@@ -581,7 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidWitness, ConsistencyFailure) as exc:
         _error(type(exc).__name__, str(exc))
         return EXIT_VERIFY
-    except (InvalidInput, CacheError) as exc:
+    except InvalidInput as exc:
         _error(type(exc).__name__, str(exc))
         return EXIT_PARSE
     except OSError as exc:

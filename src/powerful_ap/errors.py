@@ -56,7 +56,3 @@ class ConsistencyFailure(PowerfulAPError, RuntimeError):
 
 class CapacityExceeded(PowerfulAPError, RuntimeError):
     """An enumeration would exceed the configured memory bound."""
-
-
-class CacheError(PowerfulAPError, ValueError):
-    """A table cache file is malformed or fails its checksum."""

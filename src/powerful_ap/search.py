@@ -5,30 +5,23 @@ limit^(1/3), a-loop innermost), which hits every powerful number exactly
 once.  AP search bounds each start N's window N < N+d <= N+d_max by
 bisection and finds the third terms 2(N+d) - N among the table with one
 C-level set intersection per window, so no Python code runs per pair.
-Output is sorted by (N, d), and tables can be persisted to a checksummed
-cache file for repeated runs.
+Output is sorted by (N, d).  A table is always enumerated afresh:
+enumeration is faster than reading the same values back from a file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .arith import decompose_powerful, integer_nth_root, ratio_digits
 from .constructions import FAMILY_SEARCH, APWitness, validate_witness
-from .errors import CacheError, CapacityExceeded, InvalidInput
+from .errors import CapacityExceeded, InvalidInput
 
 # Soft memory guard: ~2.173*sqrt(limit) values expected, each a Python int.
 DEFAULT_MAX_VALUES = 5_000_000
-
-_CACHE_HEADER = re.compile(
-    r"POWERFUL-TABLE v1 limit=(\d+) count=(\d+) sha256=([0-9a-f]{64})"
-)
 
 
 def _ratio_half(n: int, d: int) -> Decimal:
@@ -215,65 +208,3 @@ def ap_witness(record: APRecord, budget: int | None = None) -> APWitness:
     )
     validate_witness(w, budget)
     return w
-
-
-# ------------------------------------------------------------------- caching
-
-def save_table(table: PowerfulTable, path: str) -> None:
-    """Write the table with a checksummed header, atomically."""
-    body = "".join(f"{v}\n" for v in table.values).encode("ascii")
-    digest = hashlib.sha256(body).hexdigest()
-    header = (
-        f"POWERFUL-TABLE v1 limit={table.limit} "
-        f"count={len(table.values)} sha256={digest}\n"
-    )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(body)
-    os.replace(tmp, path)
-
-
-def load_table(path: str) -> PowerfulTable:
-    """Read a cached table, verifying count, checksum, and ordering."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
-        body = fh.read()
-    m = _CACHE_HEADER.fullmatch(header)
-    if m is None:
-        raise CacheError(f"{path}: unrecognized header {header!r}")
-    limit, count, digest = int(m.group(1)), int(m.group(2)), m.group(3)
-    if hashlib.sha256(body).hexdigest() != digest:
-        raise CacheError(f"{path}: checksum mismatch")
-    try:
-        values = tuple(int(line) for line in body.decode("ascii").split())
-    except ValueError as exc:
-        raise CacheError(f"{path}: bad value line: {exc}") from exc
-    if len(values) != count:
-        raise CacheError(f"{path}: header says {count} values, found {len(values)}")
-    prev = 0
-    for v in values:
-        if v <= prev:
-            raise CacheError(f"{path}: values not strictly ascending at {v}")
-        prev = v
-    if values and values[-1] > limit:
-        raise CacheError(f"{path}: value {values[-1]} exceeds limit {limit}")
-    return PowerfulTable(limit, values)
-
-
-def table_for(limit: int, cache_path: str | None = None,
-              max_values: int = DEFAULT_MAX_VALUES) -> PowerfulTable:
-    """Load a matching cached table if possible, else enumerate (and save).
-
-    A cache file for a different limit is treated as stale and silently
-    regenerated; a corrupt one raises CacheError rather than being
-    clobbered, since that points at a real problem.
-    """
-    if cache_path and os.path.exists(cache_path):
-        table = load_table(cache_path)
-        if table.limit == limit:
-            return table
-    table = enumerate_powerful(limit, max_values)
-    if cache_path:
-        save_table(table, cache_path)
-    return table

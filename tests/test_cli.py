@@ -10,7 +10,7 @@ import json
 import pytest
 
 from powerful_ap import arith, cli
-from powerful_ap.cli import CACHE_ENV, main
+from powerful_ap.cli import main
 
 import oracles
 
@@ -313,43 +313,25 @@ class TestExitCodes:
         assert "terms" in json.loads(err)["detail"]
 
 
-class TestCache:
-    def test_cache_flag_writes_and_reuses(self, tmp_path, capsys):
-        cache = tmp_path / "table.cache"
-        code, out1, _ = run(
-            capsys, "search", "--limit", "1000", "--cache", str(cache)
-        )
-        assert code == 0 and cache.exists()
-        header = cache.read_text().splitlines()[0]
-        assert header.startswith("POWERFUL-TABLE v1 limit=1000 count=54 ")
-        code, out2, _ = run(
-            capsys, "search", "--limit", "1000", "--cache", str(cache)
-        )
-        assert code == 0 and out2 == out1
+@pytest.mark.parametrize("command", ["search", "report"])
+def test_cache_flag_is_gone(tmp_path, capsys, command):
+    cache = tmp_path / "table.cache"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--limit", "100", "--cache", str(cache)])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
+    assert not cache.exists()
 
-    def test_cache_env_var(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "env.cache"
-        monkeypatch.setenv(CACHE_ENV, str(cache))
-        code, _, _ = run(capsys, "search", "--limit", "100")
-        assert code == 0
-        assert cache.exists()
 
-    def test_corrupt_cache_is_loud(self, tmp_path, capsys):
-        cache = tmp_path / "table.cache"
-        run(capsys, "search", "--limit", "1000", "--cache", str(cache))
-        raw = cache.read_bytes().replace(b"\n8\n", b"\n6\n", 1)
-        cache.write_bytes(raw)
-        code, _, err = run(capsys, "search", "--limit", "1000", "--cache", str(cache))
-        assert code == 3
-        assert json.loads(err)["error"] == "CacheError"
-
-    def test_stale_cache_regenerates(self, tmp_path, capsys):
-        cache = tmp_path / "table.cache"
-        run(capsys, "search", "--limit", "100", "--cache", str(cache))
-        code, out, _ = run(capsys, "search", "--limit", "1000", "--cache", str(cache))
-        assert code == 0
-        assert json.loads(out)["count"] == 54
-        assert "limit=1000" in cache.read_text().splitlines()[0]
+def test_cache_env_var_is_ignored(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "env.cache"
+    monkeypatch.delenv("POWERFUL_AP_CACHE", raising=False)
+    code, without, _ = run(capsys, "search", "--limit", "1000")
+    monkeypatch.setenv("POWERFUL_AP_CACHE", str(cache))
+    code_env, with_env, _ = run(capsys, "search", "--limit", "1000")
+    assert code == code_env == 0
+    assert with_env == without
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestReport:
@@ -383,6 +365,12 @@ class TestReport:
         assert json.loads(err) == {"error": "InvalidInput",
                                    "detail": f"--k must be >= 3, got {k}"}
 
+    def test_dmax_without_limit_is_rejected(self, capsys):
+        code, out, err = run(capsys, "report", "--dmax", "10")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "InvalidInput",
+                                   "detail": "--dmax needs --limit"}
+
     def test_k_2_without_limit_sizes_an_empty_constants_table(self, capsys):
         code, out, err = run(capsys, "report", "--k", "2")
         assert code == 0 and err == ""
@@ -394,13 +382,26 @@ class TestReport:
 def test_factor_memo_lives_for_one_call(monkeypatch, capsys):
     seen = []
 
-    def probe(args):
+    def probe(family, args):
         seen.append(dict(arith._memo.get()))
         arith.factorize(2**3 * 3**5)
-        return cli.EXIT_OK
+        return []
 
-    monkeypatch.setattr(cli, "cmd_construct", probe)
+    # The parser is built once and keeps the command functions it was built
+    # with, so the probe replaces a helper that cmd_construct looks up per call.
+    monkeypatch.setattr(cli, "_family_witnesses", probe)
     for _ in range(2):
         assert main(["construct", "--family", "squares3", "--m", "1"]) == 0
     assert seen == [{}, {}]
     assert arith._memo.get() is None
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    payloads = []
+    for extra in (["--k", "4"], []):
+        code, out, _ = run(capsys, "search", "--limit", "1000", *extra,
+                           "--dmax", "100")
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert [p["k"] for p in payloads] == [4, 3]

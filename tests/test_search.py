@@ -1,10 +1,8 @@
-import hashlib
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import powerful_ap
 from powerful_ap import (
-    CacheError,
     CapacityExceeded,
     InvalidInput,
     PowerfulTable,
@@ -13,10 +11,7 @@ from powerful_ap import (
     enumerate_powerful,
     find_3aps,
     find_kaps,
-    load_table,
     record_min_ratio,
-    save_table,
-    table_for,
 )
 
 import oracles
@@ -217,68 +212,7 @@ class TestWitnessBridge:
         assert [(d.a, d.b) for d in w.decomps] == [(7, 2), (22, 1), (24, 1)]
 
 
-class TestCache:
-    def test_roundtrip(self, tmp_path, table_1e6):
-        path = str(tmp_path / "table.cache")
-        save_table(table_1e6, path)
-        loaded = load_table(path)
-        assert loaded.limit == table_1e6.limit
-        assert loaded.values == table_1e6.values
-
-    def test_header_format(self, tmp_path):
-        path = str(tmp_path / "t.cache")
-        save_table(enumerate_powerful(10), path)
-        with open(path, "rb") as fh:
-            header = fh.readline().decode()
-        body = b"1\n4\n8\n9\n"
-        digest = hashlib.sha256(body).hexdigest()
-        assert header == f"POWERFUL-TABLE v1 limit=10 count=4 sha256={digest}\n"
-
-    def test_rejects_corrupt_body(self, tmp_path, table_1e6):
-        path = str(tmp_path / "t.cache")
-        save_table(table_1e6, path)
-        raw = open(path, "rb").read().replace(b"\n8\n", b"\n6\n", 1)
-        open(path, "wb").write(raw)
-        with pytest.raises(CacheError):
-            load_table(path)
-
-    def test_rejects_wrong_count(self, tmp_path):
-        path = str(tmp_path / "t.cache")
-        body = b"1\n4\n"
-        digest = hashlib.sha256(body).hexdigest()
-        with open(path, "wb") as fh:
-            fh.write(f"POWERFUL-TABLE v1 limit=10 count=3 sha256={digest}\n".encode())
-            fh.write(body)
-        with pytest.raises(CacheError):
-            load_table(path)
-
-    def test_rejects_unsorted_values(self, tmp_path):
-        path = str(tmp_path / "t.cache")
-        body = b"4\n1\n"
-        digest = hashlib.sha256(body).hexdigest()
-        with open(path, "wb") as fh:
-            fh.write(f"POWERFUL-TABLE v1 limit=10 count=2 sha256={digest}\n".encode())
-            fh.write(body)
-        with pytest.raises(CacheError):
-            load_table(path)
-
-    def test_rejects_alien_header(self, tmp_path):
-        path = str(tmp_path / "t.cache")
-        with open(path, "wb") as fh:
-            fh.write(b"something else entirely\n1\n")
-        with pytest.raises(CacheError):
-            load_table(path)
-
-    def test_table_for_uses_cache(self, tmp_path):
-        path = str(tmp_path / "t.cache")
-        first = table_for(1000, path)
-        assert load_table(path).values == first.values
-        again = table_for(1000, path)
-        assert again.values == first.values
-
-    def test_table_for_regenerates_stale_limit(self, tmp_path):
-        path = str(tmp_path / "t.cache")
-        table_for(100, path)
-        bigger = table_for(1000, path)
-        assert bigger.limit == 1000
-        assert load_table(path).limit == 1000
+def test_public_names_resolve_once():
+    names = powerful_ap.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(powerful_ap, n)] == []
