@@ -168,14 +168,6 @@ def lemma_check(a: int, b: int, p: int, delta: int) -> bool:
     return 3 * valuation(p, a * b) >= delta
 
 
-def _case_tag(w: APWitness, p: int, nu_d: int) -> str:
-    if nu_d == 0:
-        return "D-coprime"
-    hits = sum(1 for dec in w.decomps if dec.b % p == 0)
-    parity = "even" if nu_d % 2 == 0 else "odd"
-    return f"case{hits + 1}/{parity}"
-
-
 def _quality(c: Iterable[tuple[int, int]], kappa: Iterable[int]) -> Decimal:
     """log(c) / log(kappa) to 50 digits: the abc quality of a triple with
     sum c, given as its (prime, exponent) pairs and the primes of kappa."""
@@ -188,13 +180,15 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
 
     Factoring is the only potentially expensive step, and `budget` caps
     the work per number.  The battery factors each a_i and b_i of the
-    reduced triple and d/D once, and reuses those factorizations for the
-    radical, the per-prime table and the abc quality, whose logs are
-    summed over those primes.  The witness checks before it ask for each
-    b_i again, through is_squarefree in validate_witness: once for the
-    witness given, and once more for the reduced witness when reduction
-    changed it.  Under the CLI these repeats, like every b_i met again in
-    later triples, are factor_memo hits rather than new factorings.
+    reduced triple and d/D once.  The exponents of a_1 b_1 a_2 b_2 a_3 b_3
+    and of t_2 = a_2^2 b_2^3 are summed straight from those
+    factorizations, and they give the radical, the per-prime table and
+    the abc quality, whose logs are summed over those primes.  The
+    witness checks before it ask for each b_i again, through
+    is_squarefree in validate_witness: once for the witness given, and
+    once more for the reduced witness when reduction changed it.  Under
+    the CLI these repeats, like every b_i met again in later triples, are
+    factor_memo hits rather than new factorings.
     """
     _require_3ap(w)
     validate_witness(w, budget)
@@ -218,25 +212,33 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
 
     fact_a = [factorize(dec.a, budget) for dec in red.decomps]
     fact_b = [factorize(dec.b, budget) for dec in red.decomps]
-    fact_ab = merged(*fact_a, *fact_b)
     fact_dd = factorize(dd, budget)
-    nu_ab = fact_ab.as_dict()
-    # t_2 = a_2^2 b_2^3, and c = q_2^2 with q_2 = t_2 / D
-    nu_t2 = merged(fact_a[1], fact_a[1], fact_b[1], fact_b[1], fact_b[1]).as_dict()
+    # nu_p(a_1 b_1 a_2 b_2 a_3 b_3), and nu_p(t_2) for t_2 = a_2^2 b_2^3;
+    # c = q_2^2 with q_2 = t_2 / D
+    nu_ab: dict[int, int] = {}
+    for f in (*fact_a, *fact_b):
+        for p, e in f:
+            nu_ab[p] = nu_ab.get(p, 0) + e
+    nu_t2 = {p: 2 * e for p, e in fact_a[1]}
+    for p, e in fact_b[1]:
+        nu_t2[p] = nu_t2.get(p, 0) + 3 * e
+    b1, b2, b3 = (dec.b for dec in red.decomps)
 
     rows = []
     quotient_radical = 1
     fact_c = []
-    for p in fact_ab.primes():
-        nu_d = valuation(p, D)
-        lhs = 1 if any(q % p == 0 for q in quotients) else 0
+    for p in sorted(nu_ab):
+        if D % p:
+            nu_d = 0
+            case = "D-coprime"
+        else:
+            nu_d = valuation(p, D)
+            hits = (b1 % p == 0) + (b2 % p == 0) + (b3 % p == 0)
+            case = f"case{hits + 1}/{'odd' if nu_d % 2 else 'even'}"
+        lhs = 1 if q1 % p == 0 or q2 % p == 0 or q3 % p == 0 else 0
         rhs = nu_ab[p] - nu_d
-        rows.append(
-            PrimeCheck(
-                p=p, nu_d=nu_d, lhs=lhs, rhs=rhs,
-                ok=rhs >= lhs, case=_case_tag(red, p, nu_d),
-            )
-        )
+        rows.append(PrimeCheck(p=p, nu_d=nu_d, lhs=lhs, rhs=rhs,
+                               ok=rhs >= lhs, case=case))
         if lhs:
             quotient_radical *= p
         nu_q2 = nu_t2.get(p, 0) - nu_d
@@ -246,7 +248,7 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
         raise ConsistencyFailure(f"factorization of c disagrees with {abc[2]}")
 
     kappa_primes = [
-        p for p in sorted(set(fact_ab.primes()) | set(fact_dd.primes()))
+        p for p in sorted(nu_ab.keys() | fact_dd.primes())
         if q1 % p == 0 or q2 % p == 0 or q3 % p == 0 or dd % p == 0
     ]
     kappa = math.prod(kappa_primes)

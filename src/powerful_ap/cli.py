@@ -10,8 +10,9 @@ modules.  Two contracts shape the output:
   and m stay native.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 a resource
-limit was hit (factoring budget, table capacity), 3 arguments or input
-files could not be parsed.  Errors are mirrored to stderr as one-line
+limit was hit (factoring budget, table capacity, an integer too long for
+Python's int-to-str limit), 3 arguments or input files could not be
+parsed.  Errors are mirrored to stderr as one-line
 JSON objects so scripts do not have to scrape messages.
 
 Witness files are JSON objects (or arrays of objects) with the shape
@@ -23,15 +24,14 @@ straight back into verify.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
-import itertools
 import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from .abcver import TripleAnalysis, analyze_triple, radical_inequality_check
 from .arith import DEFAULT_RHO_BUDGET, decompose_powerful, factor_memo, ratio_digits
@@ -87,6 +87,27 @@ _CONSTRUCTORS: dict[str, Callable[..., APWitness]] = {
 CSV_FIELDS = ("family", "k", "m", "N", "d", "theta", "ratio", "verified")
 
 
+# Python's digit limit on int/str conversion; 0 means none, as on
+# interpreters older than 3.10.7, which lack it.
+_int_str_limit: Callable[[], int] = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _digit_limit(what: str, digits: int) -> str:
+    return (f"{what} has {digits} digits, more than Python's limit of "
+            f"{_int_str_limit()} digits for int/str conversion")
+
+
+def _dec(n: int) -> str:
+    """str(n), or CapacityExceeded (exit 2) when n has more digits than
+    the interpreter converts.  The limit is process-wide, and main() also
+    runs in-process, so it is reported rather than lifted."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = Decimal(n).adjusted() + 1
+        raise CapacityExceeded(_digit_limit("an integer of the report", digits)) from None
+
+
 def _row(w: APWitness, theta: Fraction, ratio: Decimal,
          verified: bool) -> dict[str, Any]:
     """One report row: a witness plus how it was measured.
@@ -97,17 +118,17 @@ def _row(w: APWitness, theta: Fraction, ratio: Decimal,
     m = w.params.get("m")
     row: dict[str, Any] = {
         "k": w.k,
-        "terms": [str(t) for t in w.terms],
-        "d": str(w.d),
+        "terms": [_dec(t) for t in w.terms],
+        "d": _dec(w.d),
         "family": w.family,
         "m": m if isinstance(m, int) else None,
-        "N": str(w.terms[0]),
+        "N": _dec(w.terms[0]),
         "theta": str(theta),
         "ratio": str(ratio),
         "verified": verified,
     }
     if "multipliers" in w.params:
-        row["multipliers"] = [str(b) for b in w.params["multipliers"]]
+        row["multipliers"] = [_dec(b) for b in w.params["multipliers"]]
         row["seed_family"] = w.params.get("seed_family")
     return row
 
@@ -126,31 +147,104 @@ def _csv_cell(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def _write(chunks: Iterable[str], args: argparse.Namespace) -> None:
-    # One write call per encoder chunk (about 5 M for the 25,602-hit
-    # battery) costs more than the encoding; write them in joined blocks.
-    it = iter(chunks)
-    blocks = iter(lambda: "".join(itertools.islice(it, 8192)), "")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(blocks)
+_FLUSH_PIECES = 4096
+
+
+def _write_json(value: Any, write: Callable[[str], Any]) -> None:
+    """Write json.dumps(value, indent=2) + "\n" through `write`, in pieces.
+
+    Only dict (with str keys), list, str, int, bool and None are written;
+    any other type raises TypeError.  Every list loop passes the pieces
+    gathered so far to `write` once there are _FLUSH_PIECES of them, so
+    the text held at once stays bounded at every depth (the 25,602-hit
+    battery report is 32 MB).  The stdlib's indented encoder runs in pure
+    Python and takes about twice as long on that report.
+    """
+    pieces: list[str] = []
+    put = pieces.append
+    quote = json.encoder.encode_basestring_ascii
+
+    def leaf(v: Any) -> str:
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        raise TypeError(f"cannot write {type(v).__name__} as report JSON")
+
+    def container(v: list | dict, pad: str) -> None:
+        # pad is the newline and indent of v's closing bracket
+        inner = pad + "  "
+        if isinstance(v, list):
+            if not v:
+                put("[]")
+                return
+            sep = "[" + inner
+            for item in v:
+                put(sep)
+                sep = "," + inner
+                if isinstance(item, str):
+                    put(quote(item))
+                elif isinstance(item, (list, dict)):
+                    container(item, inner)
+                else:
+                    put(leaf(item))
+                if len(pieces) >= _FLUSH_PIECES:
+                    write("".join(pieces))
+                    pieces.clear()
+            put(pad + "]")
+            return
+        if not v:
+            put("{}")
+            return
+        sep = "{" + inner
+        for key, item in v.items():
+            put(sep)
+            put(quote(key))  # a key that is not a str raises TypeError here
+            put(": ")
+            sep = "," + inner
+            if isinstance(item, str):
+                put(quote(item))
+            elif isinstance(item, (list, dict)):
+                container(item, inner)
+            else:
+                put(leaf(item))
+        put(pad + "}")
+
+    if isinstance(value, (list, dict)):
+        container(value, "\n")
+    elif isinstance(value, str):
+        put(quote(value))
     else:
-        sys.stdout.writelines(blocks)
+        put(leaf(value))
+    put("\n")
+    write("".join(pieces))
+    # container() refers to itself, so this frame's closures live until a
+    # gc pass; drop the text they hold now.
+    pieces.clear()
+
+
+@contextlib.contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The --out file, open for the block, or else stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _emit(payload: Any, rows: list[dict[str, Any]], args: argparse.Namespace) -> None:
-    if args.format == "json":
-        # Streamed: the same bytes as json.dumps(payload, indent=2) + "\n"
-        # without holding the whole text (32 MB for the 25,602-hit battery).
-        encoder = json.JSONEncoder(indent=2)
-        _write(itertools.chain(encoder.iterencode(payload), ("\n",)), args)
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for row in rows:
-        writer.writerow([_csv_cell(row[f]) for f in CSV_FIELDS])
-    _write([buf.getvalue()], args)
+    with _output(args) as fh:
+        if args.format == "json":
+            _write_json(payload, fh.write)
+            return
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        writer.writerows([_csv_cell(row[f]) for f in CSV_FIELDS] for row in rows)
 
 
 def _error(name: str, detail: str, **extras: Any) -> None:
@@ -168,8 +262,20 @@ def _as_int(value: Any, label: str) -> int:
         try:
             return int(value, 10)
         except ValueError as exc:
+            digits = sum(ch.isdigit() for ch in value)
+            limit = _int_str_limit()
+            if limit and digits > limit:
+                raise InvalidInput(_digit_limit(label, digits)) from None
             raise InvalidInput(f"{label} is not a decimal string: {value!r}") from exc
     raise InvalidInput(f"{label} must be an integer or decimal string")
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # json only hands over -?[0-9]+, so the digit limit is the one failure
+        raise InvalidInput(_digit_limit("a JSON number", len(text.lstrip("-")))) from None
 
 
 def witness_from_json(obj: Any, budget: int | None = None) -> APWitness:
@@ -311,17 +417,17 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _analysis_json(t: TripleAnalysis) -> dict[str, Any]:
     margin = min((row.rhs - row.lhs for row in t.per_prime), default=0)
     return {
-        "N": str(t.reduced.terms[0]),
-        "d": str(t.reduced.d),
-        "D": str(t.D),
+        "N": _dec(t.reduced.terms[0]),
+        "d": _dec(t.reduced.d),
+        "D": _dec(t.D),
         "quality": str(t.quality),
-        "abc": [str(v) for v in t.abc],
-        "kappa": str(t.kappa),
+        "abc": [_dec(v) for v in t.abc],
+        "kappa": _dec(t.kappa),
         "radical_ok": radical_inequality_check(t),
         "min_margin": margin,
         "per_prime": [
             {
-                "p": str(row.p),
+                "p": _dec(row.p),
                 "nu_D": row.nu_d,
                 "lhs": row.lhs,
                 "rhs": row.rhs,
@@ -339,7 +445,7 @@ def _verify_witness(w: APWitness, budget: int) -> tuple[dict[str, Any], str | No
     failed: str | None = None
     qualities: list[Decimal] = []
     for i in range(w.k - 2):
-        sub = APWitness(
+        sub = w if w.k == 3 else APWitness(
             k=3,
             terms=w.terms[i : i + 3],
             d=w.d,
@@ -359,8 +465,8 @@ def _verify_witness(w: APWitness, budget: int) -> tuple[dict[str, Any], str | No
     report = {
         "family": w.family,
         "k": w.k,
-        "N": str(w.terms[0]),
-        "d": str(w.d),
+        "N": _dec(w.terms[0]),
+        "d": _dec(w.d),
         "triples": entries,
         "verified": failed is None,
     }
@@ -372,7 +478,7 @@ def _verify_witness(w: APWitness, budget: int) -> tuple[dict[str, Any], str | No
 def _load_witness_file(path: str, budget: int | None) -> list[APWitness]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -6,10 +6,13 @@ failure, 2 resource limit, 3 unparseable input.
 
 import hashlib
 import json
+import sys
+from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from powerful_ap import arith, cli
+from powerful_ap import arith, cli, pell_3ap
 from powerful_ap.cli import main
 
 import oracles
@@ -40,6 +43,12 @@ GOLDEN_STDOUT_SHA256 = {
 }
 
 
+# sha256 of `verify` stdout on the 1,087 hits of `search --limit 1000000
+# --dmax 10000`, given as a witness file in report order: 113 reduced
+# triples and 5 of the 6 case tags through the verify FILE path.
+GOLDEN_HIT_FILE_SHA256 = "f24d208f44cf4d57b674daa560e2c1bcc45b69dc9a8e8be9c0feab63e96b3261"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -51,6 +60,66 @@ def test_golden_stdout_bytes(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[command]
+
+
+def test_golden_hit_file_bytes(tmp_path, capsys):
+    found = tmp_path / "search.json"
+    code, _, _ = run(capsys, "search", "--limit", "1000000", "--dmax", "10000",
+                     "--out", str(found))
+    assert code == 0
+    records = json.loads(found.read_text())["records"]
+    assert len(records) == 1087
+    hits = tmp_path / "hits.json"
+    hits.write_text(json.dumps([
+        {"k": 3, "terms": [str(n), str(n + d), str(n + 2 * d)], "d": str(d),
+         "family": "search"}
+        for n, d in ((int(r["N"]), int(r["d"])) for r in records)]))
+    code, out, err = run(capsys, "verify", str(hits))
+    assert code == 0 and err == ""
+    assert len(out.encode()) == 1_185_894
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_HIT_FILE_SHA256
+
+
+def _written(value):
+    chunks = []
+    cli._write_json(value, chunks.append)
+    return chunks
+
+
+# ASCII (control characters included), any code point, and lone surrogates
+_TEXT = st.text(st.characters(max_codepoint=0x7F) | st.characters()
+                | st.characters(categories=["Cs"]), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-10**40, max_value=10**40) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestJsonWriter:
+    @given(_JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    @example([])
+    @example({})
+    @example([[], {}, {"": []}])
+    @example("\ud800\x00\u00e9")
+    def test_equals_indented_json_dumps(self, value):
+        assert "".join(_written(value)) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, Decimal("1"), (1, 2), [{"x": 1.5}],
+                                       {"x": [Decimal("2")]}, {1: "x"}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _written(value)
+
+    def test_buffer_is_bounded_at_every_depth(self):
+        # one top-level value holding 40,000 leaves two levels down
+        value = {"records": [{"rows": [str(i) for i in range(40_000)]}]}
+        chunks = _written(value)
+        assert "".join(chunks) == json.dumps(value, indent=2) + "\n"
+        assert len(chunks) > 10
+        assert max(len(c) for c in chunks) < 100_000
 
 
 class TestConstruct:
@@ -303,6 +372,38 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/w.json")
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["construct --family pell3", "report"])
+    def test_output_past_int_str_limit_is_a_capacity_error(self, tmp_path, capsys,
+                                                           command):
+        # pell3 m=2900 has terms of 4,442 digits, past the default 4,300
+        digits = Decimal(pell_3ap(2900).terms[0]).adjusted() + 1
+        assert digits > sys.get_int_max_str_digits()
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, *command.split(), "--m", "2900",
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        obj = json.loads(err)
+        assert obj["error"] == "CapacityExceeded"
+        assert f"{digits} digits" in obj["detail"]
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in obj["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_input_past_int_str_limit_is_a_parse_error(self, tmp_path, capsys,
+                                                       quoted):
+        digits = sys.get_int_max_str_digits() + 100
+        big = "7" * digits
+        path = tmp_path / "w.json"
+        path.write_text('{"k": 3, "terms": [%s, "2", "3"], "d": "1", "family": "x"}'
+                        % (f'"{big}"' if quoted else big))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 3
+        obj = json.loads(err)
+        assert obj["error"] == "InvalidInput"
+        assert f"{digits} digits" in obj["detail"]
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in obj["detail"]
+        assert "7777" not in err
 
     def test_structural_witness_problem(self, tmp_path, capsys):
         path = tmp_path / "w.json"
