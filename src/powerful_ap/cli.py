@@ -12,8 +12,8 @@ modules.  Two contracts shape the output:
 Exit codes: 0 all checks passed, 1 a verification failed, 2 a resource
 limit was hit (factoring budget, table capacity, an integer too long for
 Python's int-to-str limit), 3 arguments or input files could not be
-parsed.  Errors are mirrored to stderr as one-line
-JSON objects so scripts do not have to scrape messages.
+parsed.  Errors are mirrored to stderr as one-line JSON objects so
+scripts do not have to scrape messages.
 
 Witness files are JSON objects (or arrays of objects) with the shape
 {"k": 3, "terms": ["392", "484", "576"], "d": "92", "family": "pell3"};
