@@ -60,7 +60,6 @@ from .constructions import (
     squares_3ap,
     theta_ratio,
     validate_witness,
-    witness_ok,
 )
 from .errors import (
     BudgetExceeded,
@@ -81,7 +80,6 @@ from .search import (
     ap_witness,
     consecutive_check,
     enumerate_powerful,
-    find_3aps,
     find_kaps,
     record_min_ratio,
 )
@@ -124,7 +122,6 @@ __all__ = [
     "extend_ap",
     "extension_exponent",
     "factorize",
-    "find_3aps",
     "find_kaps",
     "five_ap",
     "four_ap",
@@ -148,5 +145,4 @@ __all__ = [
     "valuation",
     "valuation_inequality_check",
     "validate_witness",
-    "witness_ok",
 ]

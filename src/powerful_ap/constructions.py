@@ -37,7 +37,6 @@ from .arith import (
     decompose_square_times_squarefree,
     factorize,
     integer_nth_root,
-    is_powerful,
     is_squarefree,
     merged,
     ratio_digits,
@@ -79,15 +78,12 @@ class APWitness:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-def validate_witness(w: APWitness, budget: int | None = None,
-                     deep: bool = False) -> None:
+def validate_witness(w: APWitness, budget: int | None = None) -> None:
     """Raise InvalidWitness unless w is a valid progression of powerfuls.
 
-    Always checked: shape, strictly increasing terms in constant steps of
-    d >= 1, and that each decomposition reconstructs its term with a
-    squarefree b (which proves the term powerful, since any a^2*b^3 is).
-    With deep=True each term is additionally re-tested by is_powerful,
-    ignoring the decomposition; that can be expensive for huge terms.
+    Checked: shape, strictly increasing terms in constant steps of d >= 1,
+    and that each decomposition reconstructs its term with a squarefree b
+    (which proves the term powerful, since any a^2*b^3 is).
     """
     if w.k != len(w.terms) or w.k != len(w.decomps) or w.k < 3:
         raise InvalidWitness(f"need k = len(terms) = len(decomps) >= 3, got k={w.k}")
@@ -107,17 +103,6 @@ def validate_witness(w: APWitness, budget: int | None = None,
             raise InvalidWitness(f"decomps[{i}] does not reconstruct terms[{i}]")
         if not is_squarefree(dec.b, budget):
             raise InvalidWitness(f"decomps[{i}].b = {dec.b} is not squarefree")
-        if deep and not is_powerful(term, budget):
-            raise InvalidWitness(f"terms[{i}] = {term} is not powerful")
-
-
-def witness_ok(w: APWitness, budget: int | None = None) -> bool:
-    """validate_witness as a predicate (BudgetExceeded still propagates)."""
-    try:
-        validate_witness(w, budget)
-    except InvalidWitness:
-        return False
-    return True
 
 
 # ------------------------------------------------------------- 3-term families
@@ -330,10 +315,10 @@ def long_ap(k: int, seed: APWitness | None = None,
 
 # ------------------------------------------------------- growth-rate constants
 
-def _root_upper(base: Fraction, q: int, digits: int = 25) -> Fraction:
-    """A rational upper bound on base**(1/q), tight to ~10**-digits."""
+def _root_upper(base: Fraction, q: int) -> Fraction:
+    """A rational upper bound on base**(1/q), tight to ~10**-25."""
     assert base > 0 and q >= 1
-    scale = 10**digits
+    scale = 10**25
     target = base.numerator * scale**q
     u = integer_nth_root(target // base.denominator, q)
     while u**q * base.denominator < target:
@@ -341,7 +326,7 @@ def _root_upper(base: Fraction, q: int, digits: int = 25) -> Fraction:
     return Fraction(u, scale)
 
 
-def ck_constants(k: int, c5: Fraction | int = Fraction(3)) -> Fraction:
+def ck_constants(k: int) -> Fraction:
     """The constant C_k bounding d <= C_k * N^(1 - 1/(10*3^(k-5))), k >= 5.
 
     C_5 = 3 and C_{k+1} = C_k * (1 + k*C_k)^(2/(10*3^(k-4))).  The real
@@ -351,9 +336,7 @@ def ck_constants(k: int, c5: Fraction | int = Fraction(3)) -> Fraction:
     """
     if k < 5:
         raise InvalidInput(f"constants start at k = 5, got {k}")
-    c = Fraction(c5)
-    if c <= 0:
-        raise InvalidInput(f"c5 must be positive, got {c5}")
+    c = Fraction(3)
     for j in range(5, k):
         q = 5 * 3 ** (j - 4)  # exponent 2/(10*3^(j-4)) = 1/q
         c = c * _root_upper(1 + j * c, q)

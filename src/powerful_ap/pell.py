@@ -62,30 +62,6 @@ def iter_pell_pos() -> Iterator[PellSolution]:
         m += 1
 
 
-def pell_neg_solutions(count: int) -> list[PellSolution]:
-    """First `count` solutions of X^2 - 2Y^2 = -1, starting at (7, 5)."""
-    if count < 0:
-        raise InvalidInput(f"count must be >= 0, got {count}")
-    out = []
-    for sol in iter_pell_neg():
-        if len(out) == count:
-            break
-        out.append(sol)
-    return out
-
-
-def pell_pos_solutions(count: int) -> list[PellSolution]:
-    """First `count` solutions of X^2 - 2Y^2 = +1, starting at (3, 2)."""
-    if count < 0:
-        raise InvalidInput(f"count must be >= 0, got {count}")
-    out = []
-    for sol in iter_pell_pos():
-        if len(out) == count:
-            break
-        out.append(sol)
-    return out
-
-
 def pell_solution(m: int, kind: PellKind) -> PellSolution:
     """The m-th solution (1-indexed) of the requested equation."""
     if m < 1:

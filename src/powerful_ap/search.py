@@ -88,20 +88,19 @@ def _squarefree_flags(bound: int) -> bytearray:
     return flags
 
 
-def enumerate_powerful(limit: int,
-                       max_values: int = DEFAULT_MAX_VALUES) -> PowerfulTable:
+def enumerate_powerful(limit: int) -> PowerfulTable:
     """Build the sorted table of all powerful numbers <= limit.
 
     Raises CapacityExceeded before allocating anything if the expected
-    table size (about 2.173*sqrt(limit)) is over max_values.
+    table size (about 2.173*sqrt(limit)) is over DEFAULT_MAX_VALUES.
     """
     if limit < 1:
         raise InvalidInput(f"limit must be >= 1, got {limit}")
     estimate = (22 * math.isqrt(limit)) // 10 + 16
-    if estimate > max_values:
+    if estimate > DEFAULT_MAX_VALUES:
         raise CapacityExceeded(
             f"expect about {estimate} powerful numbers up to {limit}, "
-            f"over the cap of {max_values}"
+            f"over the cap of {DEFAULT_MAX_VALUES}"
         )
     bmax = integer_nth_root(limit, 3)
     flags = _squarefree_flags(bmax)
@@ -148,11 +147,6 @@ def find_kaps(table: PowerfulTable, k: int, d_max: int) -> list[APRecord]:
                 pairs.append((n, d))
     pairs.sort()
     return [APRecord(n, d, k, _ratio_half(n, d)) for n, d in pairs]
-
-
-def find_3aps(table: PowerfulTable, d_max: int) -> list[APRecord]:
-    """All 3-term APs with difference at most d_max."""
-    return find_kaps(table, 3, d_max)
 
 
 def consecutive_check(table: PowerfulTable) -> list[tuple[int, ...]]:

@@ -25,7 +25,7 @@ from powerful_ap import (
     compute_D,
     extend_ap,
     enumerate_powerful,
-    find_3aps,
+    find_kaps,
     lemma_check,
     pell_3ap,
     radical_inequality_check,
@@ -223,7 +223,7 @@ class TestAnalyzeBatteries:
             assert t.all_ok(), f"m={m}"
 
     def test_search_triples_all_verify(self, table_1e6):
-        for rec in find_3aps(table_1e6, 10**4):
+        for rec in find_kaps(table_1e6, 3, 10**4):
             t = analyze_triple(ap_witness(rec))
             assert t.all_ok(), f"N={rec.n} d={rec.d}"
 
@@ -257,7 +257,7 @@ class TestQualityOracle:
     def test_analyze_triple_matches(self):
         witnesses = [squares_3ap(m) for m in range(1, 31)]
         witnesses += [ap_witness(rec)
-                      for rec in find_3aps(enumerate_powerful(10**5), 10**3)]
+                      for rec in find_kaps(enumerate_powerful(10**5), 3, 10**3)]
         assert len(witnesses) > 30
         for w in witnesses:
             t = analyze_triple(w)

@@ -22,9 +22,10 @@ from powerful_ap import (
     consecutive_check,
     extend_ap,
     extension_exponent,
-    find_3aps,
+    find_kaps,
     five_ap,
     four_ap,
+    is_powerful,
     lemma_check,
     long_ap,
     pell_3ap,
@@ -101,7 +102,9 @@ def test_03_four_term_family():
     first = witnesses[0]
     assert first.terms[0] == 31_212_000 and first.d == 2_080_800
     for w in witnesses:
-        validate_witness(w, deep=w.terms[-1] < 10**12)
+        validate_witness(w)
+        if w.terms[-1] < 10**12:
+            assert all(is_powerful(t) for t in w.terms)
         # d <= 3 N^{4/5} exactly
         assert ratio_bound_holds(w.d, Fraction(3), w.terms[0], Fraction(4, 5))
     # strictly decreasing: r_m > r_{m+1} iff d_m^5 N'^4 > d'^5 N_m^4
@@ -214,7 +217,7 @@ def test_09_verification_battery(table_1e8):
     failures = []
 
     # every 3-AP found by the flagship search
-    records = find_3aps(table_1e8, 10**6)
+    records = find_kaps(table_1e8, 3, 10**6)
     assert len(records) == 25_602
     for rec in records:
         assert ap_identity_check(rec.n, rec.d)
@@ -306,7 +309,7 @@ def test_11_record_ratio_table(table_1e8, capsys):
     0.37 at N=729000).  Those are reported as notable findings, never as
     errors; this test pins the table and checks the reporting path.
     """
-    minima = record_min_ratio(find_3aps(table_1e8, 10**6))
+    minima = record_min_ratio(find_kaps(table_1e8, 3, 10**6))
     assert [(r.n, r.d) for r in minima] == [
         (1, 24),
         (8, 28),
@@ -336,7 +339,8 @@ def test_11_record_ratio_table(table_1e8, capsys):
         assert "notable, not an error" in note
     for rec in below:
         w = ap_witness(rec)
-        validate_witness(w, deep=True)
+        validate_witness(w)
+        assert all(is_powerful(t) for t in w.terms)
     _pass(
         "11 record table pinned; 4 sub-4 ratios (record 0.3701 at N=729000) "
         "reported as notable findings, all reverified as genuine"

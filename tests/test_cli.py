@@ -32,6 +32,9 @@ GOLDEN_STDOUT_SHA256 = {
         "b75f764f35eba3bd379db0cf62ef531e75b9e610d5f7e229e2c9d5a23a0f0a69",
     "construct --family four --m 1..2":
         "4b4fc07df14d1ff30b7a4c6f2f50a8596e1f551cf6cf540b50d0a1fb35b4288b",
+    # validating these witnesses needs rho: the squarefree tests of b
+    "construct --family four --m 14..15":
+        "e90e24250fa452b9ff8e59bacdc74667a7fc74e6eb531be38a1e3db6fa01eb72",
     "verify --family pell3 --m 1..3":
         "4679b6e33f4ade51fd56441771bf74d8be4edbb66cb7c449cf4a55775d293bab",
     "verify --family squares3 --m 1..2 --format csv":
@@ -372,6 +375,35 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/w.json")
         assert code == 3
+
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_bytes('{"k": 3, "terms": ["1", "25", "49"], "d": "24", '
+                         '"family": "caf\xe9"}'.encode("latin-1"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 3 and out == ""
+        obj = json.loads(err)
+        assert obj["error"] == "InvalidInput"
+        assert str(path) in obj["detail"]
+
+    @pytest.mark.parametrize("args, digits", [
+        (["--family", "pell3", "--m", "1", "--theta", "1/{}"], 1),
+        (["--family", "pell3", "--m", "1..{}"], 1),
+        (["--family", "kap", "--k", "4", "--seed", "pell3:{}"], 0),
+    ], ids=["--theta", "--m", "--seed"])
+    def test_overlong_argument_is_not_echoed(self, capsys, args, digits):
+        # digits counts the argument's digits outside the over-long integer
+        big = "1" * (sys.get_int_max_str_digits() + 100)
+        argv = ["construct"] + [a.format(big) for a in args]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects --theta and --m
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert len(captured.err.encode()) < 500
+        assert f"has {len(big) + digits} digits" in captured.err
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in captured.err
 
     @pytest.mark.parametrize("command", ["construct --family pell3", "report"])
     def test_output_past_int_str_limit_is_a_capacity_error(self, tmp_path, capsys,

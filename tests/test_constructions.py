@@ -17,13 +17,13 @@ from powerful_ap import (
     extension_exponent,
     five_ap,
     four_ap,
+    is_powerful,
     long_ap,
     pell_3ap,
     ratio_bound_holds,
     squares_3ap,
     theta_ratio,
     validate_witness,
-    witness_ok,
 )
 
 import oracles
@@ -138,7 +138,9 @@ class TestFive:
 
 class TestValidateWitness:
     def test_accepts_deep_check(self):
-        validate_witness(pell_3ap(1), deep=True)
+        w = pell_3ap(1)
+        validate_witness(w)
+        assert all(is_powerful(t) for t in w.terms)
 
     def test_rejects_wrong_difference(self):
         w = pell_3ap(1)
@@ -169,12 +171,6 @@ class TestValidateWitness:
         w = pell_3ap(1)
         with pytest.raises(InvalidWitness):
             validate_witness(APWitness(2, w.terms[:2], w.d, w.decomps[:2], w.family))
-
-    def test_witness_ok_is_quiet(self):
-        w = pell_3ap(1)
-        assert witness_ok(w)
-        broken = APWitness(3, (392, 484, 577), 92, w.decomps, w.family)
-        assert not witness_ok(broken)
 
 
 class TestExtension:

@@ -9,7 +9,6 @@ from powerful_ap import (
     ap_witness,
     consecutive_check,
     enumerate_powerful,
-    find_3aps,
     find_kaps,
     record_min_ratio,
 )
@@ -42,7 +41,7 @@ class TestEnumerate:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityExceeded):
-            enumerate_powerful(10**8, max_values=1000)
+            enumerate_powerful(10**14)
 
     def test_membership(self, table_1e6):
         assert 999999 not in table_1e6
@@ -57,14 +56,14 @@ class TestEnumerate:
 class TestFindAPs:
     def test_frozen_small_windows(self, table_1e6):
         small100 = PowerfulTable(100, tuple(v for v in table_1e6 if v <= 100))
-        assert [(r.n, r.d) for r in find_3aps(small100, 30)] == [(1, 24), (8, 28)]
+        assert [(r.n, r.d) for r in find_kaps(small100, 3, 30)] == [(1, 24), (8, 28)]
         small600 = PowerfulTable(600, tuple(v for v in table_1e6 if v <= 600))
-        recs = find_3aps(small600, 100)
+        recs = find_kaps(small600, 3, 100)
         assert (392, 92) in [(r.n, r.d) for r in recs]
         assert len(recs) == 17
 
     def test_empty_window(self, table_1e6):
-        assert find_3aps(table_1e6, 0) == []
+        assert find_kaps(table_1e6, 3, 0) == []
 
     def test_exhaustive_against_direct_scan(self, table_1e6):
         values = [v for v in table_1e6 if v <= 20000]
@@ -74,11 +73,14 @@ class TestFindAPs:
         assert got == sorted(want)
 
     def test_kaps_reduces_to_3aps(self, table_1e6):
-        assert find_kaps(table_1e6, 3, 1000) == find_3aps(table_1e6, 1000)
+        recs = find_kaps(table_1e6, 3, 1000)
+        assert all(r.k == 3 for r in recs)
+        assert [(r.n, r.d) for r in recs] == oracles.brute_find_kaps(
+            list(table_1e6), 3, 1000)
 
     def test_four_term_sub_progressions_are_found(self, table_1e6):
         quads = find_kaps(table_1e6, 4, 2000)
-        triples = {(r.n, r.d) for r in find_3aps(table_1e6, 2000)}
+        triples = {(r.n, r.d) for r in find_kaps(table_1e6, 3, 2000)}
         for q in quads:
             assert (q.n, q.d) in triples
             assert (q.n + q.d, q.d) in triples
@@ -89,7 +91,7 @@ class TestFindAPs:
         assert (31212000, 2080800) in found
 
     def test_records_carry_ratio(self, table_1e6):
-        recs = find_3aps(table_1e6, 30)
+        recs = find_kaps(table_1e6, 3, 30)
         assert recs[0].n == 1 and recs[0].ratio_half == 24
         assert recs[0].terms() == (1, 25, 49)
 
@@ -181,7 +183,7 @@ class TestRecordMinima:
         assert record_min_ratio([]) == []
 
     def test_frozen_records(self, table_1e8):
-        recs = find_3aps(table_1e8, 10**6)
+        recs = find_kaps(table_1e8, 3, 10**6)
         minima = record_min_ratio(recs)
         assert [(r.n, r.d) for r in minima] == [
             (1, 24),
@@ -194,20 +196,20 @@ class TestRecordMinima:
         ]
 
     def test_running_minima_non_increasing(self, table_1e6):
-        minima = record_min_ratio(find_3aps(table_1e6, 10**4))
+        minima = record_min_ratio(find_kaps(table_1e6, 3, 10**4))
         ratios = [r.ratio_half for r in minima]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
 class TestWitnessBridge:
     def test_rederives_and_validates(self, table_1e6):
-        for rec in find_3aps(table_1e6, 100):
+        for rec in find_kaps(table_1e6, 3, 100):
             w = ap_witness(rec)
             assert w.terms == rec.terms()
             assert w.d == rec.d
 
     def test_search_witness_has_real_decomps(self, table_1e6):
-        rec = next(r for r in find_3aps(table_1e6, 100) if r.n == 392)
+        rec = next(r for r in find_kaps(table_1e6, 3, 100) if r.n == 392)
         w = ap_witness(rec)
         assert [(d.a, d.b) for d in w.decomps] == [(7, 2), (22, 1), (24, 1)]
 
