@@ -262,6 +262,20 @@ def _bad_text(label: str, text: str, message: str) -> str:
     return _digit_limit(label, digits) if limit and digits > limit else message
 
 
+# Longest option value an error message quotes in full.
+_ECHO_CHARS = 100
+
+
+def _shown(value: Any) -> str:
+    """str(value) for an error message, or, when that is longer than
+    _ECHO_CHARS, its first characters and its digit count, so a huge but
+    convertible argument is not echoed back."""
+    text = str(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:12]}... ({sum(ch.isdigit() for ch in text)} digits)"
+
+
 def _as_int(value: Any, label: str) -> int:
     if isinstance(value, bool):
         raise InvalidInput(f"{label} must be an integer, got a boolean")
@@ -566,21 +580,21 @@ def _check(args: argparse.Namespace) -> None:
     searches = args.func is cmd_search or (
         args.func is cmd_report and args.limit is not None)
     if searches and args.k is not None and args.k < 3:
-        raise InvalidInput(f"--k must be >= 3, got {args.k}")
+        raise InvalidInput(f"--k must be >= 3, got {_shown(args.k)}")
     for name in ("limit", "dmax", "k", "budget"):
         v = getattr(args, name, None)
         if v is not None and v < 1:
-            raise InvalidInput(f"--{name} must be >= 1, got {v}")
+            raise InvalidInput(f"--{name} must be >= 1, got {_shown(v)}")
     if args.func is cmd_report and args.dmax is not None and args.limit is None:
         raise InvalidInput("--dmax needs --limit")
     m_range = getattr(args, "m", None)
     if m_range is not None:
         lo, hi = m_range
         if lo < 1 or hi < lo:
-            raise InvalidInput(f"bad m range {lo}..{hi}")
+            raise InvalidInput(f"bad m range {_shown(f'{lo}..{hi}')}")
     theta = getattr(args, "theta", None)
     if theta is not None and not 0 < theta < 1:
-        raise InvalidInput(f"theta must lie in (0, 1), got {theta}")
+        raise InvalidInput(f"theta must lie in (0, 1), got {_shown(theta)}")
 
 
 def _m_range(text: str) -> tuple[int, int]:

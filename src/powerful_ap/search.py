@@ -5,8 +5,12 @@ limit^(1/3), a-loop innermost), which hits every powerful number exactly
 once.  AP search bounds each start N's window N < N+d <= N+d_max by
 bisection and finds the third terms 2(N+d) - N among the table with one
 C-level set intersection per window, so no Python code runs per pair.
-Output is sorted by (N, d).  A table is always enumerated afresh:
-enumeration is faster than reading the same values back from a file.
+An even start scans only even middle terms: an even powerful number is
+divisible by 4, so an odd middle term would give a third term that is
+2 mod 4, which is never powerful.  Output is sorted by (N, d), and each start's
+square root is taken once for all of its ratios d/sqrt(N).  A table is
+always enumerated afresh: enumeration is faster than reading the same
+values back from a file.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
+from itertools import repeat
+from operator import sub
 
 from .arith import decompose_powerful, integer_nth_root, ratio_digits
 from .constructions import FAMILY_SEARCH, APWitness, validate_witness
@@ -22,11 +29,6 @@ from .errors import CapacityExceeded, InvalidInput
 
 # Soft memory guard: ~2.173*sqrt(limit) values expected, each a Python int.
 DEFAULT_MAX_VALUES = 5_000_000
-
-
-def _ratio_half(n: int, d: int) -> Decimal:
-    """d / sqrt(n) to 50 significant digits."""
-    return ratio_digits(lambda: Decimal(d) / Decimal(n).sqrt())
 
 
 @dataclass(frozen=True)
@@ -125,28 +127,45 @@ def find_kaps(table: PowerfulTable, k: int, d_max: int) -> list[APRecord]:
 
     Exhaustive within the window: for each start N, bisection bounds the
     window of second terms N+d <= N+d_max, and one C-level intersection of
-    the table with {2v - N : v in window} yields every third term.  The few
-    3-AP candidates are then probed for terms 3..k-1.  The cost is one
-    O(log n) bisection per table value plus C-speed work proportional to
-    the pairs in the windows.  A progression of length > k shows up once
-    per starting term, which keeps the k=4 output consistent with its
-    sub-3-APs.  Sorted by (N, d).
+    the table with {2v - N : v in window} yields every third term.  An even
+    start scans a list of the even values only: for N = 0 mod 4 and an odd
+    v, 2v - N is 2 mod 4, so that third term can only be in the table if
+    the table holds a value that is 2 mod 4.  No powerful number is, so
+    every even N of a table without one is 0 mod 4; a table with one (only
+    hand-made tables) has even starts scan all values.
+    The few 3-AP candidates are then probed for terms 3..k-1.  The cost is
+    one O(log n) bisection per table value plus C-speed work proportional
+    to the pairs in the windows.  A progression of length > k shows up
+    once per starting term, which keeps the k=4 output consistent with its
+    sub-3-APs.  Sorted by (N, d); one square root per start serves all of
+    its ratios.
     """
     if k < 3:
         raise InvalidInput(f"k must be >= 3, got {k}")
     if d_max < 0:
         raise InvalidInput(f"d_max must be >= 0, got {d_max}")
     values, members = table.values, table.members
-    doubled = [2 * v for v in values]
+    evens = [v for v in values if v % 2 == 0]
+    if any(v % 4 == 2 for v in evens):
+        evens = values
     pairs = []
-    for i, n in enumerate(values):
-        j = bisect_right(values, n + d_max, i + 1)
-        for third in members.intersection(map(n.__rsub__, doubled[i + 1 : j])):
-            d = (third - n) // 2
-            if all(n + t * d in members for t in range(3, k)):
-                pairs.append((n, d))
+    # odd starts against every value, then even starts against `evens`
+    for scan, parity in ((values, 1), (evens, 0)):
+        doubled = [2 * v for v in scan]
+        for i, n in enumerate(scan):
+            if n % 2 != parity:
+                continue
+            j = bisect_right(scan, n + d_max, i + 1)
+            for third in members.intersection(map(sub, doubled[i + 1 : j], repeat(n))):
+                d = (third - n) // 2
+                if all(n + t * d in members for t in range(3, k)):
+                    pairs.append((n, d))
     pairs.sort()
-    return [APRecord(n, d, k, _ratio_half(n, d)) for n, d in pairs]
+    # sorted by N, so one cached root serves each start; it is taken inside
+    # ratio_digits, at its working precision, like the quotient
+    root = lru_cache(maxsize=1)(lambda n: Decimal(n).sqrt())
+    return [APRecord(n, d, k, ratio_digits(lambda: Decimal(d) / root(n)))
+            for n, d in pairs]
 
 
 def consecutive_check(table: PowerfulTable) -> list[tuple[int, ...]]:

@@ -43,6 +43,11 @@ GOLDEN_STDOUT_SHA256 = {
         "1fbff3db6ad1d74a1af878c1f3372d62aab93d81f6d5198d7d4558b8604be5f6",
     "report":
         "2c01333d7cc04536a908e373cf928ec436b46d2691d65fabbfab1fa3aa7cb667",
+    # k >= 4 through find_kaps's even-start scan: 407 and 96 records
+    "search --limit 10000000 --dmax 100000 --k 4":
+        "c8d51df2438d4b8008d7afed0e795375cc8a4a9cf9af3de8f93c38c98e4bb3e1",
+    "search --limit 10000000 --dmax 100000 --k 5":
+        "877eb4a6a2ae56421bb6ff889ce2fdf7af1693b6817787eb526f194f07fd5205",
 }
 
 
@@ -404,6 +409,31 @@ class TestExitCodes:
         assert len(captured.err.encode()) < 500
         assert f"has {len(big) + digits} digits" in captured.err
         assert f"limit of {sys.get_int_max_str_digits()} digits" in captured.err
+
+    @pytest.mark.parametrize("argv, digits", [
+        ("construct --family pell3 --m {}..1", 4001),
+        ("construct --family pell3 --m 1 --theta {}/1", 4000),
+        ("search --limit -{}", 4000),
+        ("search --limit 1000 --dmax -{}", 4000),
+        ("verify --family pell3 --m 1 --budget -{}", 4000),
+    ], ids=["--m", "--theta", "--limit", "--dmax", "--budget"])
+    def test_long_out_of_range_value_is_not_echoed(self, capsys, argv, digits):
+        # under the int/str limit, so only the range check rejects it
+        code, out, err = run(capsys, *argv.format("1" * 4000).split())
+        assert code == 3 and out == ""
+        assert len(err.encode()) < 500
+        assert json.loads(err)["error"] == "InvalidInput"
+        assert f"({digits} digits)" in err
+
+    @pytest.mark.parametrize("argv, detail", [
+        ("construct --family pell3 --m 3..1", "bad m range 3..1"),
+        ("construct --family pell3 --m 1 --theta 3/2", "theta must lie in (0, 1), got 3/2"),
+        ("search --limit -7", "--limit must be >= 1, got -7"),
+    ])
+    def test_short_out_of_range_value_is_echoed(self, capsys, argv, detail):
+        code, _, err = run(capsys, *argv.split())
+        assert code == 3
+        assert json.loads(err) == {"error": "InvalidInput", "detail": detail}
 
     @pytest.mark.parametrize("command", ["construct --family pell3", "report"])
     def test_output_past_int_str_limit_is_a_capacity_error(self, tmp_path, capsys,

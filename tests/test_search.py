@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from powerful_ap import (
     find_kaps,
     record_min_ratio,
 )
+from powerful_ap.arith import ratio_digits
 
 import oracles
 
@@ -100,6 +103,16 @@ class TestFindAPs:
             find_kaps(table_1e6, 2, 10)
         with pytest.raises(InvalidInput):
             find_kaps(table_1e6, 3, -1)
+
+    def test_even_start_scans_odd_middle_terms_when_table_holds_2_mod_4(self):
+        # 6 = 2 mod 4 is not powerful, so only the fallback finds 4, 5, 6
+        assert [(r.n, r.d) for r in find_kaps(PowerfulTable(6, (4, 5, 6)), 3, 1)] == [(4, 1)]
+
+    def test_shared_root_gives_each_ratio_exactly(self, table_1e6):
+        recs = find_kaps(table_1e6, 3, 10**4)
+        assert len({r.n for r in recs}) < len(recs)  # some start has several d
+        for r in recs:
+            assert r.ratio_half == ratio_digits(lambda: Decimal(r.d) / Decimal(r.n).sqrt())
 
 
 @st.composite
