@@ -8,14 +8,16 @@ gcd/radical/valuation structure that every 3-term progression carries.
 
 The pieces:
 
-* arith: factoring, primality, valuations, powerful-number predicates.
+* arith: budgeted factoring, primality and valuations; is_powerful and the
+  a^2 b^3 decomposition are read off one factorization.
 * pell: solutions of X^2 - 2Y^2 = +-1, which drive the constructions.
 * constructions: the closed-form 3/4/5-term families, the inductive
   extension step to arbitrary k, and the growth constants C_k.
 * search: enumeration of all powerful numbers up to a limit and
   windowed AP search over the table.
-* abcver: the identity, gcd-consistency, radical and per-prime
-  valuation checks, plus abc-triple quality reporting.
+* abcver: analyze_triple, the battery of identity, gcd-consistency,
+  radical and per-prime valuation checks, which also reports the abc
+  quality of the induced triple.
 * cli: `powerful-ap construct | search | verify | report`.
 """
 
@@ -31,20 +33,16 @@ from .arith import (
     is_powerful,
     is_prime,
     is_squarefree,
-    radical,
     valuation,
 )
 from .abcver import (
     PrimeCheck,
     TripleAnalysis,
-    abc_quality,
     analyze_triple,
     ap_identity_check,
     compute_D,
-    lemma_check,
     radical_inequality_check,
     reduce_triple,
-    valuation_inequality_check,
 )
 from .constructions import (
     APWitness,
@@ -67,11 +65,8 @@ from .errors import (
     ConsistencyFailure,
     InvalidInput,
     InvalidWitness,
-    NotASum,
-    NotCoprime,
     NotPowerful,
     PowerfulAPError,
-    PreconditionViolated,
 )
 from .pell import PellKind, PellSolution, iter_pell_neg, iter_pell_pos, pell_solution
 from .search import (
@@ -96,19 +91,15 @@ __all__ = [
     "Factorization",
     "InvalidInput",
     "InvalidWitness",
-    "NotASum",
-    "NotCoprime",
     "NotPowerful",
     "PellKind",
     "PellSolution",
     "PowerfulAPError",
     "PowerfulDecomp",
     "PowerfulTable",
-    "PreconditionViolated",
     "PrimeCheck",
     "SquarefreeDecomp",
     "TripleAnalysis",
-    "abc_quality",
     "analyze_triple",
     "ap_identity_check",
     "ap_witness",
@@ -131,18 +122,15 @@ __all__ = [
     "is_squarefree",
     "iter_pell_neg",
     "iter_pell_pos",
-    "lemma_check",
     "long_ap",
     "pell_3ap",
     "pell_solution",
-    "radical",
     "radical_inequality_check",
     "ratio_bound_holds",
     "record_min_ratio",
     "reduce_triple",
     "squares_3ap",
     "theta_ratio",
-    "valuation",
-    "valuation_inequality_check",
     "validate_witness",
+    "valuation",
 ]

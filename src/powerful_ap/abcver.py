@@ -13,8 +13,6 @@ with nothing but integer arithmetic:
 * the square identity itself (ap_identity_check);
 * that D^2 computed three different ways agrees and D divides each term
   (compute_D; disagreement raises ConsistencyFailure);
-* the valuation bound 3*nu_p(ab) >= delta whenever p^delta | a^2 b^3
-  (lemma_check);
 * the radical inequality kappa(q_1 q_2 q_3) * D <= a_1 b_1 a_2 b_2 a_3 b_3
   and its per-prime refinement nu_p(a_1 b_1 ... b_3) - nu_p(D) >= lhs,
   where lhs is 1 when p divides some quotient and 0 otherwise.
@@ -35,19 +33,11 @@ from .arith import (
     PowerfulDecomp,
     _prime_ln,
     factorize,
-    is_prime,
-    merged,
     ratio_digits,
     valuation,
 )
 from .constructions import APWitness, validate_witness
-from .errors import (
-    ConsistencyFailure,
-    InvalidInput,
-    NotASum,
-    NotCoprime,
-    PreconditionViolated,
-)
+from .errors import ConsistencyFailure, InvalidInput
 
 
 @dataclass(frozen=True)
@@ -153,19 +143,6 @@ def compute_D(w: APWitness) -> int:
     if t1 % D or t3 % D:
         raise ConsistencyFailure(f"D={D} does not divide outer terms {t1}, {t3}")
     return D
-
-
-def lemma_check(a: int, b: int, p: int, delta: int) -> bool:
-    """True iff 3*nu_p(ab) >= delta, given the premise p^delta | a^2 b^3."""
-    if a < 1 or b < 1:
-        raise InvalidInput(f"need a, b >= 1, got a={a}, b={b}")
-    if delta < 1:
-        raise InvalidInput(f"need delta >= 1, got {delta}")
-    if not is_prime(p):
-        raise InvalidInput(f"p must be prime, got {p}")
-    if (a * a * b ** 3) % p ** delta:
-        raise PreconditionViolated(f"{p}^{delta} does not divide {a}^2*{b}^3")
-    return 3 * valuation(p, a * b) >= delta
 
 
 def _quality(c: Iterable[tuple[int, int]], kappa: Iterable[int]) -> Decimal:
@@ -275,35 +252,3 @@ def radical_inequality_check(t: TripleAnalysis) -> bool:
     product_ab = math.prod(dec.a * dec.b for dec in t.reduced.decomps)
     return t.quotient_radical * t.D <= product_ab
 
-
-def valuation_inequality_check(t: TripleAnalysis, p: int) -> tuple[int, int, bool]:
-    """(lhs, rhs, ok) of the per-prime bound at p, recomputed from scratch.
-
-    lhs is nu_p of the radical of q_1 q_2 q_3 (so 0 or 1); rhs is
-    nu_p(a_1 b_1 a_2 b_2 a_3 b_3) - nu_p(D).  Any prime is allowed; for p
-    dividing nothing the result is (0, 0, True).
-    """
-    if not is_prime(p):
-        raise InvalidInput(f"p must be prime, got {p}")
-    lhs = 1 if any(q % p == 0 for q in t.quotients) else 0
-    product_ab = math.prod(dec.a * dec.b for dec in t.reduced.decomps)
-    rhs = valuation(p, product_ab) - valuation(p, t.D)
-    return lhs, rhs, rhs >= lhs
-
-
-def abc_quality(a: int, b: int, c: int, budget: int | None = None) -> Decimal:
-    """log(c) / log(kappa(abc)) to 50 digits for an abc triple a + b = c.
-
-    The three terms are pairwise coprime once gcd(a, b) = 1, so the
-    radical is computed factor-by-factor instead of on the product.
-    """
-    if a < 1 or b < 1:
-        raise InvalidInput(f"need a, b >= 1, got a={a}, b={b}")
-    if a + b != c:
-        raise NotASum(f"{a} + {b} != {c}")
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"gcd({a}, {b}) = {math.gcd(a, b)} != 1")
-    fact_a = factorize(a, budget)
-    fact_b = factorize(b, budget)
-    fact_c = factorize(c, budget)
-    return _quality(fact_c, merged(fact_a, fact_b, fact_c).primes())

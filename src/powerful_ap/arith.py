@@ -39,10 +39,9 @@ Those results do not depend on the budget; results that used rho or ECM
 are never kept, so a BudgetExceeded for a given (n, budget) is raised
 exactly as without it.
 
-is_powerful avoids full factorization where it can: after stripping primes
-up to 10^4 it classifies the cofactor by square/cube/perfect-power root
-extraction and primality tests, splitting with rho and ECM only as a last
-resort.
+is_powerful and the a^2 b^3 decompositions are read off one factorize
+call, so they answer, or raise BudgetExceeded naming their input, exactly
+when it does.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ _GUARD_DIGITS = 15
 
 TRIAL_DIVISION_BOUND = 10**6
 _TRIAL_BLOCK = 1024  # primes per gcd in trial division
-SMALL_PRIME_BOUND = 10**4  # stripping bound for the is_powerful fast path
 # Factoring work per number, in rho steps (1.5 modular multiplications on
 # average); ECM draws on the same meter at two units per modular
 # multiplication.  A unit counts work, not time (see the module docstring).
@@ -76,7 +74,6 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _primes: list[int] | None = None
-_small_primes: list[int] | None = None
 
 
 def ratio_digits(compute: Callable[[], Decimal]) -> Decimal:
@@ -103,7 +100,7 @@ def _prime_ln(p: int) -> Decimal:
 
 def _prime_list() -> list[int]:
     """Primes up to TRIAL_DIVISION_BOUND (sieved once, cached)."""
-    global _primes, _small_primes
+    global _primes
     if _primes is None:
         n = TRIAL_DIVISION_BOUND
         # odd numbers only: sieve[i] stands for 2*i + 1
@@ -113,14 +110,7 @@ def _prime_list() -> list[int]:
             if sieve[p // 2]:
                 sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
         _primes = [2, *itertools.compress(range(1, n + 1, 2), sieve)]
-        _small_primes = _primes[: bisect.bisect_right(_primes, SMALL_PRIME_BOUND)]
     return _primes
-
-
-def _small_prime_list() -> list[int]:
-    _prime_list()
-    assert _small_primes is not None
-    return _small_primes
 
 
 @dataclass(frozen=True)
@@ -668,16 +658,6 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     return result
 
 
-def radical(n: int, budget: int | None = None) -> int:
-    """Squarefree kernel: product of the distinct primes dividing n."""
-    if n < 1:
-        raise InvalidInput(f"radical requires n >= 1, got {n}")
-    out = 1
-    for p, _ in factorize(n, budget):
-        out *= p
-    return out
-
-
 def valuation(p: int, n: int) -> int:
     """p-adic valuation of n (largest e with p**e | n); no factoring needed.
 
@@ -708,59 +688,15 @@ def is_squarefree(n: int, budget: int | None = None) -> bool:
 
 # --------------------------------------------------------- powerful numbers
 
-def _powerful_core(c: int, budget: _Budget) -> bool:
-    """Powerfulness of a cofactor with no prime factor <= SMALL_PRIME_BOUND.
-
-    Root extraction and primality tests settle the common shapes (1, perfect
-    square/cube/power, prime) without factoring; only mixed-exponent leftovers
-    get split with rho and ECM, peeling one prime at a time so a huge square
-    factor can still be recognized cheaply once the small part is gone.
-    """
-    while True:
-        if c == 1:
-            return True
-        r = math.isqrt(c)
-        if r * r == c:
-            return True
-        if is_prime(c):
-            return False
-        pp = _perfect_power(c)
-        if pp is not None:
-            return True  # exponents all multiples of pp[1] >= 2
-        d = _split(c, budget)
-        while not is_prime(d):
-            sub = _perfect_power(d)
-            d = sub[0] if sub is not None else _split(d, budget)
-        e = 0
-        while c % d == 0:
-            c //= d
-            e += 1
-        assert e >= 1
-        if e == 1:
-            return False
-
-
 def is_powerful(n: int, budget: int | None = None) -> bool:
-    """True iff every prime dividing n divides it at least twice."""
+    """True iff every prime dividing n divides it at least twice.
+
+    Read off factorize(n, budget): raises BudgetExceeded, naming n, exactly
+    when that factorization does.
+    """
     if n < 1:
         raise InvalidInput(f"is_powerful requires n >= 1, got {n}")
-    if n == 1:
-        return True
-    for p in _small_prime_list():
-        if p * p > n:
-            return n == 1  # leftover > 1 would be prime, hence exponent 1
-        if n % p == 0:
-            e = 1
-            n //= p
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e == 1:
-                return False
-            if n == 1:
-                return True
-    meter = _Budget(DEFAULT_RHO_BUDGET if budget is None else budget, n)
-    return _powerful_core(n, meter)
+    return all(e >= 2 for _, e in factorize(n, budget))
 
 
 @dataclass(frozen=True)

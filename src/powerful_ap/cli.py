@@ -402,7 +402,7 @@ def _search_payload(args: argparse.Namespace,
         payload["record_minima"] = [_record_json(r) for r in minima]
         if k == 3:
             for rec in minima:
-                if rec.ratio_half < 4:
+                if rec.d * rec.d < 16 * rec.n:  # d/sqrt(N) < 4, exactly
                     notes.append(
                         f"3-AP at N={rec.n}, d={rec.d} has d/sqrt(N) = "
                         f"{str(rec.ratio_half)[:12]}... < 4 (notable, not an error)"

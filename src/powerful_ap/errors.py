@@ -15,8 +15,9 @@ class BudgetExceeded(PowerfulAPError, RuntimeError):
     """The factoring iteration budget ran out before a certified answer.
 
     This is a resource signal, never a wrong answer: the caller may retry
-    with a larger budget.  `number` is the integer whose factorization was
-    in progress; `step` is set when an AP extension step was the consumer.
+    with a larger budget.  `number` is the integer passed to factorize,
+    never a cofactor of it; `step` is set when an AP extension step was
+    the consumer.
     """
 
     def __init__(self, message: str, *, number: int | None = None,
@@ -28,18 +29,6 @@ class BudgetExceeded(PowerfulAPError, RuntimeError):
 
 class NotPowerful(InvalidInput):
     """A number required to be powerful (p | n implies p^2 | n) is not."""
-
-
-class NotCoprime(InvalidInput):
-    """Arguments required to be coprime share a factor."""
-
-
-class NotASum(InvalidInput):
-    """An (a, b, c) triple does not satisfy a + b = c."""
-
-
-class PreconditionViolated(InvalidInput):
-    """A structural precondition on a witness or check input fails."""
 
 
 class InvalidWitness(PowerfulAPError, ValueError):

@@ -192,13 +192,13 @@ def record_min_ratio(records: list[APRecord]) -> list[APRecord]:
     """Running strict minima of d/sqrt(N), in (N, d) scan order.
 
     Each output entry had the smallest ratio seen so far when it appeared;
-    the ratio column is therefore non-increasing.
+    the ratio column is therefore non-increasing.  Ratios are compared
+    exactly, d^2 * N' < d'^2 * N against the last minimum (N', d'), since
+    two distinct ratios of large N can agree in all 50 reported digits.
     """
     out: list[APRecord] = []
-    best: Decimal | None = None
     for rec in records:
-        if best is None or rec.ratio_half < best:
-            best = rec.ratio_half
+        if not out or rec.d * rec.d * out[-1].n < out[-1].d * out[-1].d * rec.n:
             out.append(rec)
     return out
 

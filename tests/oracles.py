@@ -51,10 +51,6 @@ def brute_is_squarefree(n: int) -> bool:
     return all(e == 1 for e in brute_factor(n).values())
 
 
-def brute_radical(n: int) -> int:
-    return math.prod(brute_factor(n))
-
-
 def brute_powerful_upto(limit: int) -> list[int]:
     """All powerful numbers <= limit by definition, via an spf sieve."""
     spf = list(range(limit + 1))
@@ -107,6 +103,25 @@ def brute_find_kaps(values: list[int], k: int, d_max: int) -> list[tuple[int, in
             if all(n + t * d in members for t in range(1, k)):
                 out.append((n, d))
     return out
+
+
+def brute_valuation_bound(quotients, ab_pairs, D: int, p: int):
+    """(lhs, rhs, ok) of the per-prime bound at p, from plain division.
+
+    lhs is 1 when p divides one of the quotients and 0 otherwise; rhs is
+    the number of times p divides the product of every a_i and b_i, minus
+    the number of times it divides D.
+    """
+    def times(n: int) -> int:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        return e
+
+    lhs = 1 if any(q % p == 0 for q in quotients) else 0
+    rhs = times(math.prod(a * b for a, b in ab_pairs)) - times(D)
+    return lhs, rhs, rhs >= lhs
 
 
 def decimal_quality(c: int, kappa: int, digits: int = 50, guard: int = 15):

@@ -16,7 +16,6 @@ from powerful_ap import (
     is_powerful,
     is_prime,
     is_squarefree,
-    radical,
     valuation,
 )
 from powerful_ap import arith
@@ -349,11 +348,6 @@ class TestFactorMemo:
 
 
 class TestValuationRadical:
-    @given(st.integers(min_value=1, max_value=10**9))
-    @settings(max_examples=100, deadline=None)
-    def test_radical_matches_brute(self, n):
-        assert radical(n) == oracles.brute_radical(n)
-
     def test_valuation(self):
         assert valuation(2, 96) == 5
         assert valuation(3, 96) == 1
@@ -409,6 +403,30 @@ class TestIsPowerful:
         with pytest.raises(BudgetExceeded) as info:
             is_powerful(n)
         assert info.value.number == n
+
+    def test_out_of_reach_square_fails_loud(self):
+        # p^2 q^2 is powerful, but deciding it means splitting p*q, which
+        # the default budget cannot pay for; the error names the input
+        p, q = oracles.OUT_OF_REACH
+        n = (p * q) ** 2
+        with pytest.raises(BudgetExceeded) as info:
+            is_powerful(n)
+        assert info.value.number == n
+
+    @given(st.sampled_from(TestSplitEngine.POOL), st.integers(1, 2),
+           TestSplitEngine.BUDGETS)
+    @settings(max_examples=8, deadline=None)
+    def test_answers_exactly_when_factorize_does(self, m, power, budget):
+        n = m**power
+        want = _outcome(n, budget)
+        try:
+            got = is_powerful(n, budget)
+        except BudgetExceeded as exc:
+            assert want == ("exceeded", n)
+            assert exc.number == n
+        else:
+            assert isinstance(want, dict)
+            assert got == all(e >= 2 for e in want.values())
 
     def test_first_values(self):
         got = [n for n in range(1, 101) if is_powerful(n)]

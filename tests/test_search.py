@@ -1,3 +1,4 @@
+import inspect
 from decimal import Decimal
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import powerful_ap
 from powerful_ap import (
+    APRecord,
     CapacityExceeded,
     InvalidInput,
     PowerfulTable,
@@ -213,6 +215,15 @@ class TestRecordMinima:
         ratios = [r.ratio_half for r in minima]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
+    def test_ratios_equal_to_50_digits_are_told_apart(self):
+        # both d/sqrt(N) print as 3.000... to 50 digits, but the second is
+        # smaller: d^2 * N' < d'^2 * N
+        d = 3 * 10**60 + 1
+        recs = [APRecord(n, d, 3, ratio_digits(lambda: Decimal(d) / Decimal(n).sqrt()))
+                for n in (10**120, 10**120 + 1)]
+        assert recs[0].ratio_half == recs[1].ratio_half
+        assert record_min_ratio(recs) == recs
+
 
 class TestWitnessBridge:
     def test_rederives_and_validates(self, table_1e6):
@@ -229,5 +240,9 @@ class TestWitnessBridge:
 
 def test_public_names_resolve_once():
     names = powerful_ap.__all__
-    assert len(names) == len(set(names))
+    assert names == sorted(set(names))
     assert [n for n in names if not hasattr(powerful_ap, n)] == []
+    # every public name the package binds is exported, and nothing else
+    bound = {n for n, v in vars(powerful_ap).items()
+             if not n.startswith("_") and not inspect.ismodule(v)}
+    assert bound == set(names)
