@@ -12,7 +12,8 @@ The pieces:
   a^2 b^3 decomposition are read off one factorization.
 * pell: solutions of X^2 - 2Y^2 = +-1, which drive the constructions.
 * constructions: the closed-form 3/4/5-term families, the inductive
-  extension step to arbitrary k, and the growth constants C_k.
+  extension step to arbitrary k, the growth constants C_k, and
+  witness_from_terms, which turns bare terms into a checked witness.
 * search: enumeration of all powerful numbers up to a limit and
   windowed AP search over the table.
 * abcver: analyze_triple, the battery of identity, gcd-consistency,
@@ -58,6 +59,7 @@ from .constructions import (
     squares_3ap,
     theta_ratio,
     validate_witness,
+    witness_from_terms,
 )
 from .errors import (
     BudgetExceeded,
@@ -72,7 +74,6 @@ from .pell import PellKind, PellSolution, iter_pell_neg, iter_pell_pos, pell_sol
 from .search import (
     APRecord,
     PowerfulTable,
-    ap_witness,
     consecutive_check,
     enumerate_powerful,
     find_kaps,
@@ -102,7 +103,6 @@ __all__ = [
     "TripleAnalysis",
     "analyze_triple",
     "ap_identity_check",
-    "ap_witness",
     "ck_constants",
     "compute_D",
     "consecutive_check",
@@ -133,4 +133,5 @@ __all__ = [
     "theta_ratio",
     "validate_witness",
     "valuation",
+    "witness_from_terms",
 ]

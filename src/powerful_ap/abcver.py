@@ -89,11 +89,13 @@ def _require_3ap(w: APWitness) -> None:
         raise InvalidInput(f"expected a 3-term witness, got k={w.k}")
 
 
-def reduce_triple(w: APWitness, budget: int | None = None) -> APWitness:
+def reduce_triple(w: APWitness) -> APWitness:
     """Divide out p^3 for every prime p dividing all of b_1, b_2, b_3.
 
     The result is the same progression with gcd(b_1, b_2, b_3) = 1; a
-    witness already in that state is returned unchanged.
+    witness already in that state is returned unchanged.  A valid witness
+    stays valid without a new check: each b_i/g divides the squarefree
+    b_i, and g^3 divides every term and d.
     """
     _require_3ap(w)
     g = math.gcd(w.decomps[0].b, w.decomps[1].b, w.decomps[2].b)
@@ -112,7 +114,6 @@ def reduce_triple(w: APWitness, budget: int | None = None) -> APWitness:
         family=w.family,
         params=params,
     )
-    validate_witness(out, budget)
     assert math.gcd(out.decomps[0].b, out.decomps[1].b, out.decomps[2].b) == 1
     return out
 
@@ -160,19 +161,20 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
     reduced triple and d/D once.  The exponents of a_1 b_1 a_2 b_2 a_3 b_3
     and of t_2 = a_2^2 b_2^3 are summed straight from those
     factorizations, and they give the radical, the per-prime table and
-    the abc quality, whose logs are summed over those primes.  The
-    witness checks before it ask for each b_i again, through
-    is_squarefree in validate_witness: once for the witness given, and
-    once more for the reduced witness when reduction changed it.  Under
-    the CLI these repeats, like every b_i met again in later triples, are
-    factor_memo hits rather than new factorings.
+    the abc quality, whose logs are summed over those primes.  Before
+    that, validate_witness checks the witness given, once, and its
+    is_squarefree asks factorize for each b_i; the battery asks for the
+    same b_i again when reduction left them unchanged.  Under the CLI that
+    repeat, like every b_i met again in later triples, is a factor_memo
+    hit rather than a new factoring.  The reduced witness is not checked
+    again: reduction keeps a valid witness valid.
     """
     _require_3ap(w)
     validate_witness(w, budget)
     if not ap_identity_check(w.terms[0], w.d):
         raise ConsistencyFailure(f"square identity fails for {w.terms}")
 
-    red = reduce_triple(w, budget)
+    red = reduce_triple(w)
     D = compute_D(red)
     quotients = tuple(t // D for t in red.terms)
     dd = red.d // D

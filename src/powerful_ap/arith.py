@@ -147,15 +147,6 @@ class Factorization:
         return len(self.factors)
 
 
-def merged(*factorizations: Factorization) -> Factorization:
-    """Factorization of the product (exponents add; inputs need not be coprime)."""
-    acc: dict[int, int] = {}
-    for f in factorizations:
-        for p, e in f:
-            acc[p] = acc.get(p, 0) + e
-    return Factorization(tuple(sorted(acc.items())))
-
-
 # ---------------------------------------------------------------- primality
 
 def _sprp(n: int, a: int) -> bool:

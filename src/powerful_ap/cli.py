@@ -34,11 +34,12 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from .abcver import TripleAnalysis, analyze_triple, radical_inequality_check
-from .arith import DEFAULT_RHO_BUDGET, decompose_powerful, factor_memo, ratio_digits
+from .arith import DEFAULT_RHO_BUDGET, factor_memo, ratio_digits
 from .constructions import (
     FAMILY_FIVE,
     FAMILY_FOUR,
     FAMILY_PELL3,
+    FAMILY_SEARCH,
     FAMILY_SQUARES3,
     APWitness,
     ck_constants,
@@ -50,7 +51,7 @@ from .constructions import (
     pell_3ap,
     squares_3ap,
     theta_ratio,
-    validate_witness,
+    witness_from_terms,
 )
 from .errors import (
     BudgetExceeded,
@@ -62,7 +63,6 @@ from .errors import (
 )
 from .search import (
     APRecord,
-    ap_witness,
     consecutive_check,
     enumerate_powerful,
     find_kaps,
@@ -133,8 +133,8 @@ def _row(w: APWitness, theta: Fraction, ratio: Decimal,
 
 
 def _measured_row(w: APWitness, args: argparse.Namespace) -> dict[str, Any]:
-    """Row for a constructed or found witness: d / N^theta.  The witness
-    was validated by its constructor (or ap_witness), so it is verified."""
+    """Row for a constructed or found witness: d / N^theta.  The witness was
+    checked by its constructor or witness_from_terms, so it is verified."""
     theta = getattr(args, "theta", None)
     if theta is None:
         theta = default_theta(w)
@@ -253,27 +253,25 @@ def _error(name: str, detail: str, **extras: Any) -> None:
     print(json.dumps(obj), file=sys.stderr)
 
 
-def _bad_text(label: str, text: str, message: str) -> str:
-    """`message` for text that failed to parse, or, when text holds more
-    digits than Python converts, the _digit_limit message, which names the
-    digit count instead of echoing text."""
-    digits = sum(ch.isdigit() for ch in text)
-    limit = _int_str_limit()
-    return _digit_limit(label, digits) if limit and digits > limit else message
-
-
-# Longest option value an error message quotes in full.
+# Longest user text an error message quotes in full.
 _ECHO_CHARS = 100
 
 
-def _shown(value: Any) -> str:
-    """str(value) for an error message, or, when that is longer than
-    _ECHO_CHARS, its first characters and its digit count, so a huge but
-    convertible argument is not echoed back."""
+def _shown(message: str, value: Any, label: str | None = None) -> str:
+    """message.format(value), the one way an error message quotes user text.
+
+    Text over _ECHO_CHARS long goes in as its first characters and its
+    digit count.  Text that failed to parse as `label` and holds more
+    digits than Python converts gives the _digit_limit message instead.
+    """
     text = str(value)
     if len(text) <= _ECHO_CHARS:
-        return text
-    return f"{text[:12]}... ({sum(ch.isdigit() for ch in text)} digits)"
+        return message.format(value)
+    digits = sum(ch.isdigit() for ch in text)
+    limit = _int_str_limit()
+    if label is not None and limit and digits > limit:
+        return _digit_limit(label, digits)
+    return message.format(f"{text[:12]}... ({digits} digits)")
 
 
 def _as_int(value: Any, label: str) -> int:
@@ -285,8 +283,8 @@ def _as_int(value: Any, label: str) -> int:
         try:
             return int(value, 10)
         except ValueError as exc:
-            raise InvalidInput(_bad_text(
-                label, value, f"{label} is not a decimal string: {value!r}")) from exc
+            raise InvalidInput(_shown(
+                f"{label} is not a decimal string: {{!r}}", value, label)) from exc
     raise InvalidInput(f"{label} must be an integer or decimal string")
 
 
@@ -302,7 +300,8 @@ def witness_from_json(obj: Any, budget: int | None = None) -> APWitness:
     """Rebuild a full witness (decompositions included) from file JSON.
 
     Structural problems raise InvalidInput (exit 3); a well-formed object
-    whose numbers do not form a powerful AP fails later, in validation.
+    whose numbers do not form a powerful AP raises InvalidWitness (exit 1)
+    from witness_from_terms.
     """
     if not isinstance(obj, dict):
         raise InvalidInput("witness must be a JSON object")
@@ -325,12 +324,9 @@ def witness_from_json(obj: Any, budget: int | None = None) -> APWitness:
         # at all, so they land on the parse side.
         raise InvalidInput("terms and d must be positive")
     try:
-        decomps = tuple(decompose_powerful(t, budget) for t in terms)
+        return witness_from_terms(terms, d, family, budget)
     except NotPowerful as exc:
         raise InvalidWitness(f"claimed term is not powerful: {exc}") from exc
-    w = APWitness(k=k, terms=terms, d=d, decomps=decomps, family=family)
-    validate_witness(w, budget)
-    return w
 
 
 # ----------------------------------------------------------------- subcommands
@@ -343,7 +339,7 @@ def _seed_witness(text: str, budget: int) -> APWitness:
     try:
         m = int(num, 10)
     except ValueError as exc:
-        raise InvalidInput(_bad_text("seed index", num, f"bad seed index {num!r}")) from exc
+        raise InvalidInput(_shown("bad seed index {!r}", num, "seed index")) from exc
     return _CONSTRUCTORS[name](m, budget)
 
 
@@ -409,7 +405,8 @@ def _search_payload(args: argparse.Namespace,
                     )
         if args.format == "csv":
             # CSV rows promise a real verified flag, so re-prove each hit.
-            rows = [_measured_row(ap_witness(rec, args.budget), args)
+            rows = [_measured_row(witness_from_terms(
+                        rec.terms(), rec.d, FAMILY_SEARCH, args.budget), args)
                     for rec in records]
     payload["notes"] = notes
     return payload, rows
@@ -580,21 +577,30 @@ def _check(args: argparse.Namespace) -> None:
     searches = args.func is cmd_search or (
         args.func is cmd_report and args.limit is not None)
     if searches and args.k is not None and args.k < 3:
-        raise InvalidInput(f"--k must be >= 3, got {_shown(args.k)}")
+        raise InvalidInput(_shown("--k must be >= 3, got {}", args.k))
     for name in ("limit", "dmax", "k", "budget"):
         v = getattr(args, name, None)
         if v is not None and v < 1:
-            raise InvalidInput(f"--{name} must be >= 1, got {_shown(v)}")
+            raise InvalidInput(_shown(f"--{name} must be >= 1, got {{}}", v))
     if args.func is cmd_report and args.dmax is not None and args.limit is None:
         raise InvalidInput("--dmax needs --limit")
     m_range = getattr(args, "m", None)
     if m_range is not None:
         lo, hi = m_range
         if lo < 1 or hi < lo:
-            raise InvalidInput(f"bad m range {_shown(f'{lo}..{hi}')}")
+            raise InvalidInput(_shown("bad m range {}", f"{lo}..{hi}"))
     theta = getattr(args, "theta", None)
     if theta is not None and not 0 < theta < 1:
-        raise InvalidInput(f"theta must lie in (0, 1), got {_shown(theta)}")
+        raise InvalidInput(_shown("theta must lie in (0, 1), got {}", theta))
+
+
+def _int(text: str) -> int:
+    """int(text) for the integer options, quoted by _shown when it fails."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            _shown("invalid int value: {!r}", text, "int value")) from exc
 
 
 def _m_range(text: str) -> tuple[int, int]:
@@ -604,7 +610,7 @@ def _m_range(text: str) -> tuple[int, int]:
         b = int(hi, 10) if sep else a
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            _bad_text("m range", text, f"bad m range {text!r}")) from exc
+            _shown("bad m range {!r}", text, "m range")) from exc
     return a, b
 
 
@@ -613,7 +619,7 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
-            _bad_text("fraction", text, f"bad fraction {text!r}")) from exc
+            _shown("bad fraction {!r}", text, "fraction")) from exc
 
 
 @functools.cache
@@ -627,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET,
+        p.add_argument("--budget", type=_int, default=DEFAULT_RHO_BUDGET,
                        help="factoring work cap per number for rho and then "
                        "ECM, in units of one rho step (1.5 modular "
                        "multiplications on average; ECM pays two units per "
@@ -642,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=families, required=True)
     p.add_argument("--m", type=_m_range, default=None,
                    help="index or range A..B within the family")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_int, default=None,
                    help="target length for --family kap")
     p.add_argument("--seed", default=f"{FAMILY_PELL3}:1",
                    help="seed witness for kap as family:m (default pell3:1)")
@@ -652,9 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("search", help="enumerate powerful numbers and scan for APs")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--k", type=int, default=3, help="AP length (default 3)")
-    p.add_argument("--dmax", type=int, default=None,
+    p.add_argument("--limit", type=_int, required=True)
+    p.add_argument("--k", type=_int, default=3, help="AP length (default 3)")
+    p.add_argument("--dmax", type=_int, default=None,
                    help="difference window; omit to skip the AP scan")
     common(p)
     p.set_defaults(func=cmd_search)
@@ -664,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON witness file; omit to use --family")
     p.add_argument("--family", choices=families, default=None)
     p.add_argument("--m", type=_m_range, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_int, default=None)
     p.add_argument("--seed", default=f"{FAMILY_PELL3}:1")
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -673,13 +679,13 @@ def build_parser() -> argparse.ArgumentParser:
                        "optional search summary")
     p.add_argument("--m", type=_m_range, default=(1, 5),
                    help="family index range (default 1..5)")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_int, default=None,
                    help="largest k for the constants table (default 9); with "
                    "--limit also the AP length of the search section (default "
                    "3); the C_k work grows like 3^k digits, so k >= 13 is slow")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_int, default=None,
                    help="add a search section up to this bound")
-    p.add_argument("--dmax", type=int, default=None,
+    p.add_argument("--dmax", type=_int, default=None,
                    help="difference window of the search section; needs --limit")
     common(p)
     p.set_defaults(func=cmd_report)

@@ -30,15 +30,12 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
-from . import arith
 from .arith import (
-    Factorization,
     PowerfulDecomp,
+    decompose_powerful,
     decompose_square_times_squarefree,
-    factorize,
     integer_nth_root,
     is_squarefree,
-    merged,
     ratio_digits,
 )
 from .errors import BudgetExceeded, InvalidInput, InvalidWitness
@@ -78,13 +75,8 @@ class APWitness:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-def validate_witness(w: APWitness, budget: int | None = None) -> None:
-    """Raise InvalidWitness unless w is a valid progression of powerfuls.
-
-    Checked: shape, strictly increasing terms in constant steps of d >= 1,
-    and that each decomposition reconstructs its term with a squarefree b
-    (which proves the term powerful, since any a^2*b^3 is).
-    """
+def _check_progression(w: APWitness) -> None:
+    """The factoring-free checks of validate_witness, in its order."""
     if w.k != len(w.terms) or w.k != len(w.decomps) or w.k < 3:
         raise InvalidWitness(f"need k = len(terms) = len(decomps) >= 3, got k={w.k}")
     if w.d < 1:
@@ -96,6 +88,16 @@ def validate_witness(w: APWitness, budget: int | None = None) -> None:
             raise InvalidWitness(
                 f"terms[{i}] - terms[{i-1}] = {w.terms[i] - w.terms[i-1]} != d = {w.d}"
             )
+
+
+def validate_witness(w: APWitness, budget: int | None = None) -> None:
+    """Raise InvalidWitness unless w is a valid progression of powerfuls.
+
+    Checked: shape, strictly increasing terms in constant steps of d >= 1,
+    and that each decomposition reconstructs its term with a squarefree b
+    (which proves the term powerful, since any a^2*b^3 is).
+    """
+    _check_progression(w)
     for i, (term, dec) in enumerate(zip(w.terms, w.decomps)):
         if dec.a < 1 or dec.b < 1:
             raise InvalidWitness(f"decomps[{i}] has nonpositive parts: {dec}")
@@ -103,6 +105,27 @@ def validate_witness(w: APWitness, budget: int | None = None) -> None:
             raise InvalidWitness(f"decomps[{i}] does not reconstruct terms[{i}]")
         if not is_squarefree(dec.b, budget):
             raise InvalidWitness(f"decomps[{i}].b = {dec.b} is not squarefree")
+
+
+def witness_from_terms(terms: tuple[int, ...], d: int, family: str,
+                       budget: int | None = None) -> APWitness:
+    """A checked witness for bare terms: each term is decomposed, then the
+    progression checks of validate_witness run.
+
+    A decomposition read off a complete factorization has a squarefree b
+    and reconstructs its term, so nothing else is left to check.  Raises
+    NotPowerful for the first term that is not powerful, BudgetExceeded
+    when its factoring runs out, and InvalidWitness as validate_witness.
+    """
+    w = APWitness(
+        k=len(terms),
+        terms=terms,
+        d=d,
+        decomps=tuple(decompose_powerful(t, budget) for t in terms),
+        family=family,
+    )
+    _check_progression(w)
+    return w
 
 
 # ------------------------------------------------------------- 3-term families
@@ -154,14 +177,6 @@ def pell_3ap(m: int) -> APWitness:
     return w
 
 
-def _squarefree_part(f: Factorization) -> int:
-    out = 1
-    for p, e in f:
-        if e % 2:
-            out *= p
-    return out
-
-
 def _decomp_from_squarefree_part(term: int, b: int) -> PowerfulDecomp:
     """Canonical (a, b) for a term whose odd-exponent prime product is b."""
     a = math.isqrt(term // b**3)
@@ -182,19 +197,17 @@ def four_ap(m: int, budget: int | None = None) -> APWitness:
     terms = (u**3 * v**2, u**2 * x * v**2, u**2 * v**3, u**2 * v**2 * w_)
     d = 2 * u**2 * v**2
     assert all(terms[i + 1] - terms[i] == d for i in range(3))
-    # u = 2(2Y-1)(2Y+1) and v = 2(4Y^2+1): factor the small coprime pieces
-    # rather than the 2x^2-sized products.
-    fu = merged(
-        Factorization(((2, 1),)),
-        factorize(2 * bigy - 1, budget),
-        factorize(2 * bigy + 1, budget),
-    )
-    fv = merged(Factorization(((2, 1),)), factorize(4 * bigy * bigy + 1, budget))
-    assert fu.n == u and fv.n == v
+    # u = 2(2Y-1)(2Y+1) and v = 2(4Y^2+1) with odd, pairwise coprime pieces:
+    # sf(u) and sf(v) are 2 times those of the pieces, which factor faster.
+    pieces_u, piece_v = (2 * bigy - 1, 2 * bigy + 1), 4 * bigy * bigy + 1
+    assert u == 2 * math.prod(pieces_u) and v == 2 * piece_v
+    sf_u = 2 * math.prod(decompose_square_times_squarefree(piece, budget).b
+                         for piece in pieces_u)
+    sf_v = 2 * decompose_square_times_squarefree(piece_v, budget).b
     decomps = (
-        _decomp_from_squarefree_part(terms[0], _squarefree_part(fu)),
+        _decomp_from_squarefree_part(terms[0], sf_u),
         _decomp_from_squarefree_part(terms[1], 2),  # sf(x) = 2 since x = 8Y^2
-        _decomp_from_squarefree_part(terms[2], _squarefree_part(fv)),
+        _decomp_from_squarefree_part(terms[2], sf_v),
         _decomp_from_squarefree_part(terms[3], 1),  # perfect square
     )
     w = APWitness(
@@ -227,15 +240,17 @@ def five_ap(m: int, budget: int | None = None) -> APWitness:
     )
     d = a * lo**2 * hi**2
     assert all(terms[i + 1] - terms[i] == d for i in range(4))
-    # lo = 2(2x^2-2x-1), hi = 2(2x^2+2x+1); y, y±2a are squares times 2^3
-    flo = merged(Factorization(((2, 1),)), factorize(2 * x * x - 2 * x - 1, budget))
-    fhi = merged(Factorization(((2, 1),)), factorize(2 * x * x + 2 * x + 1, budget))
-    assert flo.n == lo and fhi.n == hi
+    # lo = 2(2x^2-2x-1), hi = 2(2x^2+2x+1) with odd pieces; y, y±2a are
+    # squares times 2^3
+    piece_lo, piece_hi = 2 * x * x - 2 * x - 1, 2 * x * x + 2 * x + 1
+    assert lo == 2 * piece_lo and hi == 2 * piece_hi
+    sf_lo = 2 * decompose_square_times_squarefree(piece_lo, budget).b
+    sf_hi = 2 * decompose_square_times_squarefree(piece_hi, budget).b
     decomps = (
         _decomp_from_squarefree_part(terms[0], 2),  # (y-2a) = 8n^2, n odd
-        _decomp_from_squarefree_part(terms[1], _squarefree_part(flo)),
+        _decomp_from_squarefree_part(terms[1], sf_lo),
         _decomp_from_squarefree_part(terms[2], 1),  # y = (2x)^2
-        _decomp_from_squarefree_part(terms[3], _squarefree_part(fhi)),
+        _decomp_from_squarefree_part(terms[3], sf_hi),
         _decomp_from_squarefree_part(terms[4], 1),  # y+2a = (2x+2)^2
     )
     w = APWitness(

@@ -10,7 +10,9 @@ divisible by 4, so an odd middle term would give a third term that is
 2 mod 4, which is never powerful.  Output is sorted by (N, d), and each start's
 square root is taken once for all of its ratios d/sqrt(N).  A table is
 always enumerated afresh: enumeration is faster than reading the same
-values back from a file.
+values back from a file.  Search builds no witnesses: a record is a bare
+(N, d, k) with its ratio, and constructions.witness_from_terms re-proves
+its terms when a caller needs receipts.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import sub
 
-from .arith import decompose_powerful, integer_nth_root, ratio_digits
-from .constructions import FAMILY_SEARCH, APWitness, validate_witness
+from .arith import integer_nth_root, ratio_digits
 from .errors import CapacityExceeded, InvalidInput
 
 # Soft memory guard: ~2.173*sqrt(limit) values expected, each a Python int.
@@ -202,22 +203,3 @@ def record_min_ratio(records: list[APRecord]) -> list[APRecord]:
             out.append(rec)
     return out
 
-
-def ap_witness(record: APRecord, budget: int | None = None) -> APWitness:
-    """Re-derive a checked APWitness from a search record.
-
-    Decomposes every term from scratch, so this independently re-proves
-    powerfulness rather than trusting the table.
-    """
-    terms = record.terms()
-    decomps = tuple(decompose_powerful(t, budget) for t in terms)
-    w = APWitness(
-        k=record.k,
-        terms=terms,
-        d=record.d,
-        decomps=decomps,
-        family=FAMILY_SEARCH,
-        params={"n": record.n, "d": record.d},
-    )
-    validate_witness(w, budget)
-    return w

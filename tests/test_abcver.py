@@ -16,7 +16,6 @@ from powerful_ap import (
     InvalidWitness,
     analyze_triple,
     ap_identity_check,
-    ap_witness,
     compute_D,
     extend_ap,
     enumerate_powerful,
@@ -26,6 +25,7 @@ from powerful_ap import (
     reduce_triple,
     squares_3ap,
     valuation,
+    witness_from_terms,
 )
 from powerful_ap.constructions import APWitness, PowerfulDecomp, validate_witness
 
@@ -211,7 +211,7 @@ class TestAnalyzeBatteries:
 
     def test_search_triples_all_verify(self, table_1e6):
         for rec in find_kaps(table_1e6, 3, 10**4):
-            t = analyze_triple(ap_witness(rec))
+            t = analyze_triple(witness_from_terms(rec.terms(), rec.d, "search"))
             assert t.all_ok(), f"N={rec.n} d={rec.d}"
 
     def test_extended_progression_sub_triples(self):
@@ -243,7 +243,7 @@ class TestQualityOracle:
 
     def test_analyze_triple_matches(self):
         witnesses = [squares_3ap(m) for m in range(1, 31)]
-        witnesses += [ap_witness(rec)
+        witnesses += [witness_from_terms(rec.terms(), rec.d, "search")
                       for rec in find_kaps(enumerate_powerful(10**5), 3, 10**3)]
         assert len(witnesses) > 30
         for w in witnesses:

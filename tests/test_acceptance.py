@@ -16,7 +16,6 @@ from powerful_ap import (
     BudgetExceeded,
     analyze_triple,
     ap_identity_check,
-    ap_witness,
     ck_constants,
     compute_D,
     consecutive_check,
@@ -34,6 +33,7 @@ from powerful_ap import (
     squares_3ap,
     validate_witness,
     valuation,
+    witness_from_terms,
 )
 from powerful_ap.cli import main
 
@@ -221,7 +221,7 @@ def test_09_verification_battery(table_1e8):
     assert len(records) == 25_602
     for rec in records:
         assert ap_identity_check(rec.n, rec.d)
-        t = analyze_triple(ap_witness(rec))
+        t = analyze_triple(witness_from_terms(rec.terms(), rec.d, "search"))
         if not (t.all_ok() and radical_inequality_check(t)):
             failures.append(("search", rec.n, rec.d))
 
@@ -338,7 +338,7 @@ def test_11_record_ratio_table(table_1e8, capsys):
         assert f"N={rec.n}, d={rec.d}" in note
         assert "notable, not an error" in note
     for rec in below:
-        w = ap_witness(rec)
+        w = witness_from_terms(rec.terms(), rec.d, "search")
         validate_witness(w)
         assert all(is_powerful(t) for t in w.terms)
     _pass(

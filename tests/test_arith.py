@@ -19,7 +19,7 @@ from powerful_ap import (
     valuation,
 )
 from powerful_ap import arith
-from powerful_ap.arith import factor_memo, merged
+from powerful_ap.arith import factor_memo
 
 import oracles
 
@@ -47,12 +47,6 @@ class TestFactorization:
     def test_rejects_zero_exponent(self):
         with pytest.raises(InvalidInput):
             Factorization(((2, 0),))
-
-    def test_merged(self):
-        a = factorize(12)
-        b = factorize(18)
-        assert merged(a, b).n == 216
-        assert merged().n == 1
 
 
 class TestFactorize:

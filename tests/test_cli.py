@@ -12,7 +12,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from powerful_ap import arith, cli, pell_3ap
+from powerful_ap import abcver, arith, cli, constructions, four_ap, pell_3ap
 from powerful_ap.cli import main
 
 import oracles
@@ -35,6 +35,10 @@ GOLDEN_STDOUT_SHA256 = {
     # validating these witnesses needs rho: the squarefree tests of b
     "construct --family four --m 14..15":
         "e90e24250fa452b9ff8e59bacdc74667a7fc74e6eb531be38a1e3db6fa01eb72",
+    "construct --family five --m 1..3":
+        "cbe45665b75c076b1396c7f0d7c79fbb8e6fdad755d71994fef3ce4b0f7dd237",
+    "verify --family five --m 1..2":
+        "8de16ef3e7c6c26547d4ee446f57d6f1f6e88b469a98d83c622f15800fa011a8",
     "verify --family pell3 --m 1..3":
         "4679b6e33f4ade51fd56441771bf74d8be4edbb66cb7c449cf4a55775d293bab",
     "verify --family squares3 --m 1..2 --format csv":
@@ -304,6 +308,50 @@ class TestVerify:
         assert code == 1
         assert json.loads(err)["error"] == "InvalidWitness"
 
+    def test_first_bad_witness_of_a_file_decides(self, tmp_path, capsys):
+        # [valid, not an AP, not powerful]: the second one is named, and no
+        # report is written for the first
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([
+            {"k": 3, "terms": ["1", "25", "49"], "d": "24", "family": "adhoc"},
+            {"k": 3, "terms": ["1", "25", "64"], "d": "24", "family": "adhoc"},
+            {"k": 3, "terms": ["1", "25", "50"], "d": "25", "family": "adhoc"},
+        ]))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "InvalidWitness",
+                                   "detail": "terms[2] - terms[1] = 39 != d = 24"}
+
+    def test_each_triple_is_validated_once(self, tmp_path, capsys, monkeypatch):
+        four = four_ap(1)
+        calls = []
+        real = constructions.validate_witness
+
+        def counting(w, budget=None):
+            calls.append(w.terms)
+            return real(w, budget)
+
+        # wherever the battery or the file reader could call it
+        for module in (abcver, cli, constructions):
+            monkeypatch.setattr(module, "validate_witness", counting, raising=False)
+        # squares3 and pell3 m = 1, pell3 m = 1 times 3^3 (its triple
+        # reduces), and four m = 1 (two triples)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([
+            {"k": len(terms), "terms": [str(t) for t in terms], "d": str(d),
+             "family": "adhoc"}
+            for terms, d in (((1, 25, 49), 24), ((392, 484, 576), 92),
+                             ((392 * 27, 484 * 27, 576 * 27), 92 * 27),
+                             (four.terms, four.d))]))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        reports = json.loads(out)
+        assert reports[2]["triples"][0]["N"] == "392"  # reduced by 3
+        assert sum(len(r["triples"]) for r in reports) == 5
+        assert calls == [(1, 25, 49), (392, 484, 576),
+                         (392 * 27, 484 * 27, 576 * 27),
+                         four.terms[:3], four.terms[1:]]
+
     def test_kap_verification(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "kap", "--k", "5")
         assert code == 0
@@ -391,24 +439,59 @@ class TestExitCodes:
         assert obj["error"] == "InvalidInput"
         assert str(path) in obj["detail"]
 
-    @pytest.mark.parametrize("args, digits", [
-        (["--family", "pell3", "--m", "1", "--theta", "1/{}"], 1),
-        (["--family", "pell3", "--m", "1..{}"], 1),
-        (["--family", "kap", "--k", "4", "--seed", "pell3:{}"], 0),
-    ], ids=["--theta", "--m", "--seed"])
-    def test_overlong_argument_is_not_echoed(self, capsys, args, digits):
-        # digits counts the argument's digits outside the over-long integer
-        big = "1" * (sys.get_int_max_str_digits() + 100)
-        argv = ["construct"] + [a.format(big) for a in args]
+    @pytest.mark.parametrize("argv, digits", [
+        ("construct --family pell3 --m 1 --theta 1/{}", 1),
+        ("construct --family pell3 --m 1..{}", 1),
+        ("construct --family kap --k 4 --seed pell3:{}", 0),
+        ("search --limit {}", 0),
+        ("search --limit 1000 --dmax {}", 0),
+        ("construct --family kap --k {}", 0),
+        ("verify --family pell3 --m 1 --budget {}", 0),
+        ("construct --family pell3 --m {}", None),
+        ("construct --family kap --k 4 --seed pell3:{}", None),
+        ("verify {file}", None),
+    ], ids=["--theta", "--m", "--seed", "--limit", "--dmax", "--k", "--budget",
+            "--m letters", "--seed letters", "file term letters"])
+    def test_overlong_argument_is_not_echoed(self, tmp_path, capsys, argv, digits):
+        # digits counts the argument's digits outside the over-long integer;
+        # None marks 3,000 letters, which no digit limit applies to
+        limit = sys.get_int_max_str_digits()
+        text = "x" * 3000 if digits is None else "1" * (limit + 100)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"k": 3, "terms": [text, "2", "3"], "d": "1",
+                                    "family": "x"}))
         try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects --theta and --m
+            code = main(argv.format(text, file=path).split())
+        except SystemExit as exc:  # argparse rejects the options it types
             code = exc.code
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert len(captured.err.encode()) < 500
-        assert f"has {len(big) + digits} digits" in captured.err
-        assert f"limit of {sys.get_int_max_str_digits()} digits" in captured.err
+        assert text[:13] not in captured.err
+        if digits is None:
+            assert "... (0 digits)" in captured.err
+        else:
+            assert f"has {len(text) + digits} digits" in captured.err
+            assert f"limit of {limit} digits" in captured.err
+
+    @pytest.mark.parametrize("argv, last_line", [
+        ("search --limit abc",
+         "powerful-ap search: error: argument --limit: invalid int value: 'abc'"),
+        ("construct --family pell3 --m 1..x",
+         "powerful-ap construct: error: argument --m: bad m range '1..x'"),
+        ("construct --family pell3 --m 1 --theta 2/x",
+         "powerful-ap construct: error: argument --theta: bad fraction '2/x'"),
+        ("construct --family kap --k 4 --seed pell3:q",
+         '{"error": "InvalidInput", "detail": "bad seed index \'q\'"}'),
+    ])
+    def test_short_unparsed_value_is_quoted_in_full(self, capsys, argv, last_line):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.splitlines()[-1] == last_line
 
     @pytest.mark.parametrize("argv, digits", [
         ("construct --family pell3 --m {}..1", 4001),

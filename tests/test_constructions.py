@@ -10,8 +10,10 @@ from powerful_ap import (
     BudgetExceeded,
     InvalidInput,
     InvalidWitness,
+    NotPowerful,
     PowerfulDecomp,
     ck_constants,
+    decompose_powerful,
     default_theta,
     extend_ap,
     extension_exponent,
@@ -24,6 +26,7 @@ from powerful_ap import (
     squares_3ap,
     theta_ratio,
     validate_witness,
+    witness_from_terms,
 )
 
 import oracles
@@ -171,6 +174,30 @@ class TestValidateWitness:
         w = pell_3ap(1)
         with pytest.raises(InvalidWitness):
             validate_witness(APWitness(2, w.terms[:2], w.d, w.decomps[:2], w.family))
+
+
+class TestWitnessFromTerms:
+    def test_decomposes_every_term(self):
+        w = witness_from_terms((392, 484, 576), 92, "adhoc")
+        assert (w.k, w.d, w.family, w.params) == (3, 92, "adhoc", {})
+        assert [(d.a, d.b) for d in w.decomps] == [(7, 2), (22, 1), (24, 1)]
+        validate_witness(w)
+
+    @pytest.mark.parametrize("terms, d", [
+        ((1, 25, 64), 24), ((1, 25), 24), ((49, 25, 1), 24), ((1, 25, 49), 23)])
+    def test_rejects_as_validate_witness(self, terms, d):
+        with pytest.raises(InvalidWitness) as exc:
+            witness_from_terms(terms, d, "adhoc")
+        w = APWitness(len(terms), terms, d,
+                      tuple(decompose_powerful(t) for t in terms), "adhoc")
+        with pytest.raises(InvalidWitness) as expected:
+            validate_witness(w)
+        assert str(exc.value) == str(expected.value)
+
+    def test_a_term_that_is_not_powerful_is_named_first(self):
+        # 50 is not powerful, and the steps are wrong too
+        with pytest.raises(NotPowerful, match="^50 is not powerful"):
+            witness_from_terms((1, 25, 50), 24, "adhoc")
 
 
 class TestExtension:

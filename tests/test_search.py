@@ -10,11 +10,11 @@ from powerful_ap import (
     CapacityExceeded,
     InvalidInput,
     PowerfulTable,
-    ap_witness,
     consecutive_check,
     enumerate_powerful,
     find_kaps,
     record_min_ratio,
+    witness_from_terms,
 )
 from powerful_ap.arith import ratio_digits
 
@@ -228,13 +228,13 @@ class TestRecordMinima:
 class TestWitnessBridge:
     def test_rederives_and_validates(self, table_1e6):
         for rec in find_kaps(table_1e6, 3, 100):
-            w = ap_witness(rec)
+            w = witness_from_terms(rec.terms(), rec.d, "search")
             assert w.terms == rec.terms()
             assert w.d == rec.d
 
     def test_search_witness_has_real_decomps(self, table_1e6):
         rec = next(r for r in find_kaps(table_1e6, 3, 100) if r.n == 392)
-        w = ap_witness(rec)
+        w = witness_from_terms(rec.terms(), rec.d, "search")
         assert [(d.a, d.b) for d in w.decomps] == [(7, 2), (22, 1), (24, 1)]
 
 
