@@ -7,24 +7,31 @@ block, and only the primes of a gcd above 1 are divided out (Bernstein's
 product-based smooth parts, "How to find smooth parts of integers", 2004,
 used on one number at a time).  The products are built on first use, and a
 number below the square of a block's largest prime meets that block prime
-by prime.  Each composite cofactor that remains is split by
-Brent-cycle Pollard rho for at most 2^16 steps and, if rho finds nothing,
-by the elliptic curve method (Lenstra, Ann. Math. 126 (1987)) on Montgomery
-curves with a stage 2 (Math. Comp. 48 (1987)).  Both engines draw on one
-work budget per call, counted in rho steps.  A unit counts work, not time.
-A step of Brent's rho is one modular multiplication while it only advances
-y and two once it also multiplies into q, 1.5 on average; ECM pays two
-units per modular multiplication.  Measured with Python 3.11 on a 2-core
-KVM guest, a rho unit took 0.91-1.0 us against 0.30 us for an ECM unit on
-the 50- to 150-digit cofactors of pell3 m = 51..200, and 0.36 against
-0.14 us on those of m = 1..50: a rho unit costs about 2.6 to 3.3 times the
-time of an ECM unit.  When the budget runs out the call raises BudgetExceeded
-instead of ever returning a wrong or partial answer, and it does so the
-same way for the same (n, budget).  Primality uses the 13-base deterministic
-Miller-Rabin test below 3.3e24, which is a proof there, and Baillie-PSW
-above.  BPSW is a probable-prime test: no composite is known to pass it,
-but nothing proves that none does, so a verdict that rests on a prime
-above 3.3e24 rests on BPSW.
+by prime.  A cofactor in (10^12, psi13) is tested for primality before the
+first block gcd and before each gcd that follows one that divided something
+out; there Miller-Rabin is a proof, so a prime cofactor ends trial division
+at once and the remaining gcds are skipped.  Each composite cofactor that
+remains is split by Brent-cycle Pollard rho for at most 2^16 steps and, if
+rho finds nothing, by the elliptic curve method (Lenstra, Ann. Math. 126
+(1987)) on Montgomery curves with a stage 2 (Math. Comp. 48 (1987)).  Both
+engines draw on one work budget per call, counted in rho steps.  A unit
+counts work, not time.  A step of Brent's rho is one modular multiplication
+while it only advances y and two once it also multiplies into q, 1.5 on
+average; ECM pays two units per modular multiplication.  Measured with
+Python 3.11 on a 2-core KVM guest, a rho unit took 0.91-1.0 us against 0.30
+us for an ECM unit on the 50- to 150-digit cofactors of pell3 m = 51..200,
+and 0.36 against 0.14 us on those of m = 1..50: a rho unit costs about 2.6
+to 3.3 times the time of an ECM unit.  When the budget runs out the call
+raises BudgetExceeded instead of ever returning a wrong or partial answer,
+and it does so the same way for the same (n, budget).
+
+Primality uses the 13-base Miller-Rabin test below
+psi13 = 3317044064679887385961981 (about 3.3e24), the least composite that
+passes all 13 bases (Sorenson and Webster, "Strong pseudoprimes to twelve
+prime bases", Math. Comp. 86 (2017)), so below psi13 it is a proof.  From
+psi13 up it is Baillie-PSW, a probable-prime test: no composite is known
+to pass it, but nothing proves that none does, so a verdict that rests on
+a prime of psi13 or more rests on BPSW.
 
 ratio_digits is the one place that sets Decimal precision: every derived
 ratio or quality the package reports goes through it.  An abc quality
@@ -69,7 +76,8 @@ _TRIAL_BLOCK = 1024  # primes per gcd in trial division
 # multiplication.  A unit counts work, not time (see the module docstring).
 DEFAULT_RHO_BUDGET = 4_000_000
 
-# Largest n for which Miller-Rabin with the fixed 13-base set is a proof.
+# psi13 = 1287836182261 * 2575672364521, the least composite that passes
+# Miller-Rabin to every base in _MR_BASES: the test is a proof strictly below it.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -221,9 +229,9 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality: deterministic Miller-Rabin below 3.3e24 (a proof there),
-    Baillie-PSW above (a probable-prime test with no known counterexample,
-    not a proof)."""
+    """Primality: Miller-Rabin to the 13 bases of _MR_BASES below psi13 =
+    _MR_DETERMINISTIC_BOUND (a proof there), Baillie-PSW from psi13 up (a
+    probable-prime test with no known counterexample, not a proof)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -565,15 +573,27 @@ def _trial_divide(n: int, acc: dict[int, int]) -> int:
     divided out.  The block in which sqrt(n) falls is then divided prime by
     prime up to the first p with p * p > n, so a small n never builds or
     touches a product.
+
+    Before the first gcd, and before each gcd that follows one that divided
+    something out, a cofactor in (10^12, psi13) is tested with is_prime,
+    which is a proof there.  A prime goes into acc and 1 is returned: the
+    remaining gcds are skipped and the caller does not test it again.  A
+    cofactor outside that range, or composite, meets every gcd as above.
     """
     primes = _prime_list()
     lo = 0
+    fresh = True  # n has not been tested since it last changed
     while True:
         top = primes[min(lo + _TRIAL_BLOCK, len(primes)) - 1]
         if top * top > n:
             break
+        if (fresh and TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND < n
+                < _MR_DETERMINISTIC_BOUND and is_prime(n)):
+            acc[n] = 1
+            return 1
         g = math.gcd(_block_product(lo // _TRIAL_BLOCK), n)
-        if g > 1:
+        fresh = g > 1
+        if fresh:
             # g is the product of the block's primes that divide n
             for p in primes[lo : lo + _TRIAL_BLOCK]:
                 if p * p > g:
@@ -620,7 +640,9 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
     Trial division by the primes up to 10^6 (one gcd per block of 1024
     primes, see _trial_divide), then rho and ECM on what is left, all on
     `budget` units (rho steps, default DEFAULT_RHO_BUDGET).  Trial division
-    spends no budget.
+    spends no budget, and ends early when what is left lies in
+    (10^12, psi13) and Miller-Rabin proves it prime; the factorization is
+    the same either way.
     Raises BudgetExceeded, naming n, if the budget runs out on a hard
     cofactor; never returns an unverified factorization.
     """

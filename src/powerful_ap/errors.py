@@ -12,7 +12,7 @@ class InvalidInput(PowerfulAPError, ValueError):
 
 
 class BudgetExceeded(PowerfulAPError, RuntimeError):
-    """The factoring iteration budget ran out before a certified answer.
+    """The factoring work budget ran out before a complete factorization.
 
     This is a resource signal, never a wrong answer: the caller may retry
     with a larger budget.  `number` is the integer passed to factorize,

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -27,6 +28,13 @@ import oracles
 M61 = 2**61 - 1
 M67 = 2**67 - 1
 M89 = 2**89 - 1
+
+# The least composites that pass Miller-Rabin to the first 13, the first 12
+# and the first 11 prime bases (Sorenson and Webster, Math. Comp. 86 (2017)).
+PSI13_FACTORS = (1287836182261, 2575672364521)
+PSI13 = math.prod(PSI13_FACTORS)
+PSI12_FACTORS = (399165290221, 798330580441)
+PSI11_FACTORS = (149491, 747451, 34233211)
 
 
 class TestFactorization:
@@ -178,8 +186,55 @@ class TestTrialDivision:
         assert arith._block_product.cache_info().currsize == 0
         factorize(p * q)
         assert arith._block_product.cache_info().currsize == 1
+        # a prime in (10^12, psi13) is proved prime before any gcd
         factorize(10**12 + 39)
+        assert arith._block_product.cache_info().currsize == 1
+        # a composite with no factor up to 10^6 reaches every gcd
+        factorize(1000003 * 1000033)
         assert arith._block_product.cache_info().currsize == -(-78498 // BLOCK)
+
+
+class TestProvedPrimeExit:
+    """Trial division stops at a cofactor that Miller-Rabin proves prime."""
+
+    @pytest.mark.parametrize("q", [10**12 + 39, M61, sympy.prevprime(PSI13)])
+    def test_proved_prime_builds_no_product(self, q):
+        arith._block_product.cache_clear()
+        acc = {}
+        assert arith._trial_divide(q, acc) == 1 and acc == {q: 1}
+        assert factorize(q).as_dict() == {q: 1}
+        assert arith._block_product.cache_info().currsize == 0
+        # 2 goes in the first gcd; the prime left over is proved at once
+        assert factorize(2 * q).as_dict() == {2: 1, q: 1}
+        assert arith._block_product.cache_info().currsize == 1
+
+    # what multiplies the smooth part: a prime in (10^12, psi13), a product
+    # of two primes above 10^6, or psi13, which only BPSW and ECM settle
+    COFACTOR = st.one_of(
+        st.integers(10**12, PSI13 - 10**4).map(sympy.nextprime),
+        st.tuples(st.integers(10**6, 10**9), st.integers(10**6, 10**9)).map(
+            lambda t: sympy.nextprime(t[0]) * sympy.nextprime(t[1])),
+        st.just(PSI13))
+
+    @given(st.dictionaries(TestTrialDivision.INDEX, st.integers(1, 3), max_size=4),
+           COFACTOR)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy(self, exponents, cofactor):
+        primes = arith._prime_list()
+        smooth = math.prod(primes[i] ** e for i, e in exponents.items())
+        arith._block_product.cache_clear()
+        expected = {**sympy.factorint(smooth), **_sympy_factors(cofactor)}
+        assert factorize(smooth * cofactor).as_dict() == expected
+        if cofactor < PSI13 and sympy.isprime(cofactor):
+            # the gcds stop after the last block with a prime of the smooth part
+            built = max(exponents, default=-1) // BLOCK + 1
+            assert arith._block_product.cache_info().currsize == built
+
+
+@functools.cache
+def _sympy_factors(n):
+    """sympy.factorint(n), kept: it takes about 0.6 s on psi13."""
+    return sympy.factorint(n)
 
 
 def _outcome(n, budget):
@@ -284,6 +339,25 @@ class TestPrimality:
         assert not is_prime(M89 * M89)
         assert not is_prime(561)  # Carmichael
         assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+    def test_proof_bound_is_psi13(self):
+        # the 13 bases are a proof strictly below psi13, and psi13 passes all
+        assert arith._MR_DETERMINISTIC_BOUND == PSI13
+        assert all(arith._sprp(PSI13, a) for a in arith._MR_BASES)
+        assert not is_prime(PSI13)
+        arith._block_product.cache_clear()
+        assert factorize(PSI13).as_dict() == dict.fromkeys(PSI13_FACTORS, 1)
+        # no exit at psi13 itself: every gcd runs
+        assert arith._block_product.cache_info().currsize == -(-78498 // BLOCK)
+
+    @pytest.mark.parametrize("factors,passes", [(PSI12_FACTORS, 12), (PSI11_FACTORS, 11)])
+    def test_strong_pseudoprimes_below_psi13(self, factors, passes):
+        n = math.prod(factors)
+        assert 10**12 < n < PSI13
+        assert [arith._sprp(n, a) for a in arith._MR_BASES[:passes + 1]] == (
+            [True] * passes + [False])
+        assert not is_prime(n)
+        assert factorize(n).as_dict() == dict.fromkeys(factors, 1)
 
     def test_boundaries(self):
         assert not is_prime(0)
