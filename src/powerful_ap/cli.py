@@ -9,6 +9,12 @@ modules.  Two contracts shape the output:
   overflow doubles almost immediately); small structural counters like k
   and m stay native.
 
+JSON payloads of construct, search and report go through one generic
+writer, _write_json.  Verify reports have a fixed schema, so each witness
+report is rendered straight to its JSON text, the bytes json.dumps(...,
+indent=2) gives it; nothing is opened or written until every witness has
+been analyzed, so a command that fails part way writes no report.
+
 Exit codes: 0 all checks passed, 1 a verification failed, 2 a resource
 limit was hit (factoring budget, table capacity, an integer too long for
 Python's int-to-str limit), 3 arguments or input files could not be
@@ -237,14 +243,18 @@ def _output(args: argparse.Namespace) -> Iterator[TextIO]:
         yield fh
 
 
+def _write_csv(rows: list[dict[str, Any]], fh: TextIO) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows([_csv_cell(row[f]) for f in CSV_FIELDS] for row in rows)
+
+
 def _emit(payload: Any, rows: list[dict[str, Any]], args: argparse.Namespace) -> None:
     with _output(args) as fh:
         if args.format == "json":
             _write_json(payload, fh.write)
-            return
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        writer.writerows([_csv_cell(row[f]) for f in CSV_FIELDS] for row in rows)
+        else:
+            _write_csv(rows, fh)
 
 
 def _error(name: str, detail: str, **extras: Any) -> None:
@@ -427,36 +437,54 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis_json(t: TripleAnalysis) -> dict[str, Any]:
-    margin = min((row.rhs - row.lhs for row in t.per_prime), default=0)
-    return {
-        "N": _dec(t.reduced.terms[0]),
-        "d": _dec(t.reduced.d),
-        "D": _dec(t.D),
-        "quality": str(t.quality),
-        "abc": [_dec(v) for v in t.abc],
-        "kappa": _dec(t.kappa),
-        "radical_ok": radical_inequality_check(t),
-        "min_margin": margin,
-        "per_prime": [
-            {
-                "p": _dec(row.p),
-                "nu_D": row.nu_d,
-                "lhs": row.lhs,
-                "rhs": row.rhs,
-                "ok": row.ok,
-                "case": row.case,
-            }
-            for row in t.per_prime
-        ],
-    }
+# Every string of a verify report but the family name is digits, a
+# Decimal's str or a fixed ASCII tag, which JSON needs no escapes for; the
+# family name is user text and is escaped as json.dumps escapes it.
+
+_NOTE_ABOVE = Decimal("1.6")
+_NOTE = ',\n    "note": "abc quality above 1.6: extraordinary, double-check inputs"'
 
 
-def _verify_witness(w: APWitness, budget: int) -> tuple[dict[str, Any], str | None]:
-    """Analyze every consecutive triple of w; returns (report, failed check)."""
-    entries = []
+def _triple_text(t: TripleAnalysis, radical_ok: bool) -> str:
+    """One entry of a witness report's "triples" list, as its JSON text."""
+    rows = ",".join(
+        f'\n          {{\n            "p": "{_dec(row.p)}",'
+        f'\n            "nu_D": {_dec(row.nu_d)},'
+        f'\n            "lhs": {_dec(row.lhs)},'
+        f'\n            "rhs": {_dec(row.rhs)},'
+        f'\n            "ok": {"true" if row.ok else "false"},'
+        f'\n            "case": "{row.case}"\n          }}'
+        for row in t.per_prime)
+    # per_prime is never empty: a reduced triple has a term above 1
+    margin = min(row.rhs - row.lhs for row in t.per_prime)
+    a, b, c = t.abc
+    return (
+        f'\n      {{\n        "N": "{_dec(t.reduced.terms[0])}",'
+        f'\n        "d": "{_dec(t.reduced.d)}",'
+        f'\n        "D": "{_dec(t.D)}",'
+        f'\n        "quality": "{t.quality!s}",'
+        f'\n        "abc": [\n          "{_dec(a)}",\n          "{_dec(b)}",'
+        f'\n          "{_dec(c)}"\n        ],'
+        f'\n        "kappa": "{_dec(t.kappa)}",'
+        f'\n        "radical_ok": {"true" if radical_ok else "false"},'
+        f'\n        "min_margin": {_dec(margin)},'
+        f'\n        "per_prime": [{rows}\n        ]\n      }}'
+    )
+
+
+def _verify_witness(w: APWitness, budget: int,
+                    as_json: bool) -> tuple[str, Decimal, str | None]:
+    """Analyze every consecutive triple of w.
+
+    Returns the witness's report rendered from the fixed verify schema, as
+    the JSON text it has as an item of the indented report list ("" unless
+    as_json), the first triple's abc quality (the CSV ratio) and the first
+    failed check, or None.  Nothing is written here: cmd_verify writes the
+    texts once every witness has been analyzed.
+    """
+    texts = []
     failed: str | None = None
-    qualities: list[Decimal] = []
+    note = False
     for i in range(w.k - 2):
         sub = w if w.k == 3 else APWitness(
             k=3,
@@ -467,25 +495,29 @@ def _verify_witness(w: APWitness, budget: int) -> tuple[dict[str, Any], str | No
             params=dict(w.params),
         )
         t = analyze_triple(sub, budget)
-        entry = _analysis_json(t)
-        entries.append(entry)
-        qualities.append(t.quality)
+        radical_ok = radical_inequality_check(t)
+        if i == 0:
+            quality = t.quality
         if failed is None:
-            if not entry["radical_ok"]:
+            if not radical_ok:
                 failed = "radical_inequality"
             elif not t.all_ok():
                 failed = "valuation_inequality"
-    report = {
-        "family": w.family,
-        "k": w.k,
-        "N": _dec(w.terms[0]),
-        "d": _dec(w.d),
-        "triples": entries,
-        "verified": failed is None,
-    }
-    if any(q > Decimal("1.6") for q in qualities):
-        report["note"] = "abc quality above 1.6: extraordinary, double-check inputs"
-    return report, failed
+        note = note or t.quality > _NOTE_ABOVE
+        if as_json:
+            texts.append(_triple_text(t, radical_ok))
+    if not as_json:
+        return "", quality, failed
+    text = (
+        f'\n  {{\n    "family": {json.encoder.encode_basestring_ascii(w.family)},'
+        f'\n    "k": {_dec(w.k)},'
+        f'\n    "N": "{_dec(w.terms[0])}",'
+        f'\n    "d": "{_dec(w.d)}",'
+        f'\n    "triples": [{",".join(texts)}\n    ],'
+        f'\n    "verified": {"true" if failed is None else "false"}'
+        f'{_NOTE if note else ""}\n  }}'
+    )
+    return text, quality, failed
 
 
 def _load_witness_file(path: str, budget: int | None) -> list[APWitness]:
@@ -505,6 +537,14 @@ def _load_witness_file(path: str, budget: int | None) -> list[APWitness]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Analyze every witness, then write the report.
+
+    The JSON report is the texts _verify_witness renders from the fixed
+    schema, joined as json.dumps(reports, indent=2) would join them; CSV
+    has one row per witness.  The output is opened only after the last
+    witness has been analyzed, so a BudgetExceeded or any other error on a
+    later witness leaves stdout and --out untouched.
+    """
     if args.witness_file:
         witnesses = _load_witness_file(args.witness_file, args.budget)
     elif args.family:
@@ -514,18 +554,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise InvalidInput("verify needs a witness file or --family")
 
-    reports = []
-    rows = []
+    as_json = args.format == "json"
+    texts: list[str] = []
+    rows: list[dict[str, Any]] = []
     first_failure: str | None = None
     for w in witnesses:
-        report, failed = _verify_witness(w, args.budget)
-        reports.append(report)
-        if args.format == "csv":
-            quality = Decimal(report["triples"][0]["quality"])
+        text, quality, failed = _verify_witness(w, args.budget, as_json)
+        if as_json:
+            texts.append(text)
+        else:
             rows.append(_row(w, default_theta(w), quality, failed is None))
         if failed and first_failure is None:
             first_failure = failed
-    _emit(reports, rows, args)
+    with _output(args) as fh:
+        if as_json:
+            sep = "["  # there is at least one witness
+            for text in texts:
+                fh.write(sep)
+                fh.write(text)
+                sep = ","
+            fh.write("\n]\n")
+        else:
+            _write_csv(rows, fh)
     if first_failure is not None:
         _error("VerificationFailed", f"first failing check: {first_failure}")
         return EXIT_VERIFY

@@ -3,10 +3,12 @@
 Everything here is written to be obviously correct rather than fast, and
 shares no code with the package under test: factoring is plain trial
 division, powerful numbers come from a smallest-prime-factor sieve, and
-Pell solutions come from exponentiation in Z[sqrt(2)].
+Pell solutions come from exponentiation in Z[sqrt(2)].  The verify report
+is built as plain dicts from the package's analyses, for json.dumps.
 """
 
 import math
+from decimal import Decimal
 
 
 def brute_factor(n: int) -> dict[int, int]:
@@ -143,3 +145,50 @@ def decimal_quality(c: int, kappa: int, digits: int = 50, guard: int = 15):
 # far below one in a thousand and the default budget pays for about 38
 # curves.  The tests pin that these inputs do exhaust that budget.
 OUT_OF_REACH = (10**25 + 13, 2 * 10**25 + 9)
+
+
+def triple_report(t) -> dict:
+    """The dict of one analyzed triple in a verify report."""
+    product_ab = math.prod(dec.a * dec.b for dec in t.reduced.decomps)
+    return {
+        "N": str(t.reduced.terms[0]),
+        "d": str(t.reduced.d),
+        "D": str(t.D),
+        "quality": str(t.quality),
+        "abc": [str(v) for v in t.abc],
+        "kappa": str(t.kappa),
+        "radical_ok": t.quotient_radical * t.D <= product_ab,
+        "min_margin": min((row.rhs - row.lhs for row in t.per_prime), default=0),
+        "per_prime": [
+            {"p": str(row.p), "nu_D": row.nu_d, "lhs": row.lhs, "rhs": row.rhs,
+             "ok": row.ok, "case": row.case}
+            for row in t.per_prime
+        ],
+    }
+
+
+def verify_reports(witnesses, analyses) -> list[dict]:
+    """The list json.dumps(..., indent=2) prints as verify's JSON report.
+
+    witnesses are the verified witnesses in order; analyses are the
+    analyses of their consecutive triples, in order, k - 2 per witness.
+    """
+    analyses = iter(analyses)
+    reports = []
+    for w in witnesses:
+        mine = [next(analyses) for _ in range(w.k - 2)]
+        triples = [triple_report(t) for t in mine]
+        report = {
+            "family": w.family,
+            "k": w.k,
+            "N": str(w.terms[0]),
+            "d": str(w.d),
+            "triples": triples,
+            "verified": all(tr["radical_ok"] and all(row["ok"] for row in tr["per_prime"])
+                            for tr in triples),
+        }
+        if any(t.quality > Decimal("1.6") for t in mine):
+            report["note"] = "abc quality above 1.6: extraordinary, double-check inputs"
+        reports.append(report)
+    assert next(analyses, None) is None, "more analyses than triples"
+    return reports

@@ -4,15 +4,17 @@ Exit codes are part of the public contract: 0 pass, 1 verification
 failure, 2 resource limit, 3 unparseable input.
 """
 
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from powerful_ap import abcver, arith, cli, constructions, four_ap, pell_3ap
+from powerful_ap import abcver, arith, cli, constructions, five_ap, four_ap, pell_3ap
 from powerful_ap.cli import main
 
 import oracles
@@ -384,6 +386,96 @@ class TestVerify:
         assert lines[1].endswith(",true")
 
 
+def _recorded_analyses(monkeypatch, change=None):
+    """Analyses cli gets from analyze_triple, in call order; `change` maps
+    (index, analysis) to the analysis cli gets instead."""
+    seen = []
+    real = abcver.analyze_triple
+
+    def recording(w, budget=None):
+        t = real(w, budget)
+        if change is not None:
+            t = change(len(seen), t)
+        seen.append(t)
+        return t
+
+    monkeypatch.setattr(cli, "analyze_triple", recording)
+    return seen
+
+
+def _oracle_text(witnesses, analyses):
+    return json.dumps(oracles.verify_reports(witnesses, analyses), indent=2) + "\n"
+
+
+def _radical_fails(t):
+    product_ab = math.prod(dec.a * dec.b for dec in t.reduced.decomps)
+    return dataclasses.replace(t, quotient_radical=product_ab + 1)
+
+
+def _row_fails(t):
+    row = t.per_prime[0]
+    bad = dataclasses.replace(row, lhs=row.rhs + 1, ok=False)
+    return dataclasses.replace(t, per_prime=(bad, *t.per_prime[1:]))
+
+
+def _quality_17(t):
+    return dataclasses.replace(t, quality=Decimal("1.7"))
+
+
+class TestVerifyRendering:
+    """verify's JSON equals json.dumps of the oracle's report dicts."""
+
+    def test_five_family(self, capsys, monkeypatch):
+        seen = _recorded_analyses(monkeypatch)
+        code, out, err = run(capsys, "verify", "--family", "five", "--m", "1..2")
+        assert code == 0 and err == ""
+        assert len(seen) == 6
+        assert out == _oracle_text([five_ap(1), five_ap(2)], seen)
+
+    def test_family_names_are_escaped(self, tmp_path, capsys, monkeypatch):
+        families = ["carr\u00e9", 'tab\t"quoted" back\\slash', "\U0001d4ab"]
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([
+            {"k": 3, "terms": ["1", "25", "49"], "d": "24", "family": f}
+            for f in families]), encoding="utf-8")
+        seen = _recorded_analyses(monkeypatch)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0 and err == ""
+        assert '"family": "carr\\u00e9"' in out
+        witnesses = [constructions.witness_from_terms((1, 25, 49), 24, f)
+                     for f in families]
+        assert out == _oracle_text(witnesses, seen)
+
+    @pytest.mark.parametrize("change, code, failed", [
+        (_radical_fails, 1, "radical_inequality"),
+        (_row_fails, 1, "valuation_inequality"),
+        (_quality_17, 0, None),
+    ])
+    def test_synthetic_analyses(self, capsys, monkeypatch, change, code, failed):
+        # the second witness's analysis is changed; both reports are written
+        seen = _recorded_analyses(
+            monkeypatch, lambda i, t: change(t) if i == 1 else t)
+        argv = ["verify", "--family", "pell3", "--m", "1..2"]
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        expected = oracles.verify_reports([pell_3ap(1), pell_3ap(2)], seen)
+        assert out == json.dumps(expected, indent=2) + "\n"
+        assert [r["verified"] for r in expected] == [True, failed is None]
+        assert ["note" in r for r in expected] == [False, change is _quality_17]
+        if failed is None:
+            assert err == ""
+        else:
+            assert json.loads(err) == {"error": "VerificationFailed",
+                                       "detail": f"first failing check: {failed}"}
+        seen.clear()
+        got, out, _ = run(capsys, *argv, "--format", "csv")
+        assert got == code
+        rows = out.splitlines()[1:]
+        assert [r.rsplit(",", 1)[1] for r in rows] == [
+            "true", "true" if failed is None else "false"]
+        assert rows[1].split(",")[6] == str(seen[1].quality)
+
+
 class TestExitCodes:
     def test_capacity_exhaustion(self, capsys):
         code, _, err = run(capsys, "search", "--limit", str(10**14))
@@ -408,6 +500,38 @@ class TestExitCodes:
         obj = json.loads(err)
         assert obj["error"] == "BudgetExceeded"
         assert int(obj["number"]) == c * c
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_budget_exhaustion_after_a_verified_witness(self, capsys, tmp_path,
+                                                        monkeypatch, fmt, to_file):
+        # p^2, q^2, r^2 with p^2 + r^2 = 2q^2: p, q, r = |u^2 - 2uv - v^2|,
+        # u^2 + v^2, u^2 + 2uv - v^2 for u = 62 P, v = 7 Q.  is_prime accepts
+        # what is left of each of p, q, r once its factors below 1000 are
+        # divided out, so the file loads, but d = 4uv(u + v)(u - v) cannot
+        # be split at the default budget, and the battery factors d/D
+        # (D = 1 here).
+        P, Q = oracles.OUT_OF_REACH
+        u, v = 62 * P, 7 * Q
+        p, q, r = abs(u * u - 2 * u * v - v * v), u * u + v * v, u * u + 2 * u * v - v * v
+        d = q * q - p * p
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([
+            {"k": 3, "terms": ["1", "25", "49"], "d": "24", "family": "adhoc"},
+            {"k": 3, "terms": [str(p * p), str(q * q), str(r * r)], "d": str(d),
+             "family": "adhoc"}]))
+        seen = _recorded_analyses(monkeypatch)
+        out = tmp_path / f"out.{fmt}"
+        argv = ["verify", str(path), "--format", fmt]
+        if to_file:
+            argv += ["--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert len(seen) == 1  # the first witness was analyzed
+        assert code == 2 and stdout == ""
+        obj = json.loads(err)
+        assert obj["error"] == "BudgetExceeded"
+        assert int(obj["number"]) == d
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--budget"])
     @pytest.mark.parametrize("value", ["0", "-1"])
