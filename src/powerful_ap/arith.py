@@ -11,19 +11,28 @@ by prime.  A cofactor in (10^12, psi13) is tested for primality before the
 first block gcd and before each gcd that follows one that divided something
 out; there Miller-Rabin is a proof, so a prime cofactor ends trial division
 at once and the remaining gcds are skipped.  Each composite cofactor that
-remains is split by Brent-cycle Pollard rho for at most 2^16 steps and, if
-rho finds nothing, by the elliptic curve method (Lenstra, Ann. Math. 126
-(1987)) on Montgomery curves with a stage 2 (Math. Comp. 48 (1987)).  Both
-engines draw on one work budget per call, counted in rho steps.  A unit
-counts work, not time.  A step of Brent's rho is one modular multiplication
-while it only advances y and two once it also multiplies into q, 1.5 on
-average; ECM pays two units per modular multiplication.  Measured with
-Python 3.11 on a 2-core KVM guest, a rho unit took 0.91-1.0 us against 0.30
-us for an ECM unit on the 50- to 150-digit cofactors of pell3 m = 51..200,
-and 0.36 against 0.14 us on those of m = 1..50: a rho unit costs about 2.6
-to 3.3 times the time of an ECM unit.  When the budget runs out the call
-raises BudgetExceeded instead of ever returning a wrong or partial answer,
-and it does so the same way for the same (n, budget).
+remains is split by Brent-cycle Pollard rho for at most its share of the
+budget and, if rho finds nothing, by the elliptic curve method (Lenstra,
+Ann. Math. 126 (1987)) on Montgomery curves with a stage 2 (Math. Comp. 48
+(1987)).  Both engines draw on one work budget per call, counted in rho
+steps.  A unit counts work, not time.  A step of Brent's rho is one modular
+multiplication while it only advances y and two once it also multiplies
+into q, 1.5 on average; ECM pays two units per modular multiplication.
+Measured with Python 3.11 on a 2-core KVM guest, a rho unit took 0.91-1.0
+us against 0.30 us for an ECM unit on the 50- to 150-digit cofactors of
+pell3 m = 51..200, and 0.36 against 0.14 us on those of m = 1..50: a rho
+unit costs about 2.6 to 3.3 times the time of an ECM unit.  When the budget
+runs out the call raises BudgetExceeded instead of ever returning a wrong
+or partial answer, and it does so the same way for the same (n, budget).
+
+Rho's share is set by the number it splits: 2^16 units up to 100 bits,
+2^13 above.  On the pell3 m = 51..200 screen at budget 2e5, rho's shares
+that found nothing took 10.2 s of an 18 s sweep, nearly all on numbers
+above 100 bits.  There 101 of rho's 153 finds came within 2^13 units; the
+smaller share leaves the rest to ECM, at a third of rho's time per unit,
+and all four completed items still complete.  Up to 100 bits a factor rho
+reaches late can lie beyond ECM's first curves (m = 77: a 9-digit factor
+of a 23-digit cofactor at 50,046 units), so those numbers keep 2^16.
 
 Primality uses the 13-base Miller-Rabin test below
 psi13 = 3317044064679887385961981 (about 3.3e24), the least composite that
@@ -354,10 +363,15 @@ def _brent_rho(n: int, budget: _Budget) -> int | None:
     return None
 
 
-# ECM parameters.  Rho finds factors up to about 10^9 within its share;
-# B1 = 2000 and B2 = 100 * B1 suit the 10- to 20-digit factors beyond.
-# D = 2*3*5*7*11, so the baby steps are the 240 odd j < D/2 prime to D.
+# Rho's share of each split (module docstring): 2^16 units for a number of
+# at most _RHO_BITS bits, 2^13 above.
 _RHO_SHARE = 1 << 16
+_RHO_SHARE_LARGE = 1 << 13
+_RHO_BITS = 100
+# ECM parameters.  Rho's share finds factors up to about 10^9 (2^16 units)
+# or 10^7 (2^13); B1 = 2000 and B2 = 100 * B1 suit the 8- to 20-digit
+# factors beyond.  D = 2*3*5*7*11, so the baby steps are the 240 odd
+# j < D/2 prime to D.
 _ECM_B1 = 2000
 _ECM_B2 = 100 * _ECM_B1
 _ECM_D = 2310
@@ -507,13 +521,18 @@ def _ecm(n: int, budget: _Budget) -> int:
             return g
 
 
+def _rho_share(n: int) -> int:
+    """Rho's share of a split of n, in budget units."""
+    return _RHO_SHARE if n.bit_length() <= _RHO_BITS else _RHO_SHARE_LARGE
+
+
 def _split(n: int, budget: _Budget) -> int:
     """A nontrivial factor of composite n (not a perfect power).
 
-    Rho runs first, exactly as on its own, for at most 2**16 units of the
-    budget; if it finds nothing, ECM spends the rest.
+    Rho runs first, exactly as on its own, for at most _rho_share(n) units
+    of the budget; if it finds nothing, ECM spends the rest.
     """
-    share = min(_RHO_SHARE, budget.remaining)
+    share = min(_rho_share(n), budget.remaining)
     meter = _Budget(share, budget.number)
     try:
         d = _brent_rho(n, meter)

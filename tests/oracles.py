@@ -140,10 +140,11 @@ def decimal_quality(c: int, kappa: int, digits: int = 50, guard: int = 15):
 
 # Two primes above 10^25 (checked with sympy in test_arith).  Their product,
 # or any number whose factoring must split it, stays beyond the default
-# factoring budget: rho would need about 10^12 steps, and its 2^16-unit
-# share is spent first, while a B1 = 2000 curve splits it with a chance
-# far below one in a thousand and the default budget pays for about 38
-# curves.  The tests pin that these inputs do exhaust that budget.
+# factoring budget: rho would need about 10^12 steps, and its 2^13-unit
+# share (the product has 167 bits) is spent first, while a B1 = 2000 curve
+# splits it with a chance far below one in a thousand and the default
+# budget pays for about 39 curves.  The tests pin that these inputs do
+# exhaust that budget.
 OUT_OF_REACH = (10**25 + 13, 2 * 10**25 + 9)
 
 

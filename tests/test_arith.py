@@ -247,10 +247,12 @@ def _outcome(n, budget):
 
 
 class TestSplitEngine:
-    """Rho for 2^16 units, then ECM, on one budget meter."""
+    """Rho for its share (2^16 units up to 100 bits, 2^13 above), then ECM,
+    on one budget meter."""
 
     # (start, start) pairs for sympy.nextprime: factors of 11 to 15 digits,
-    # which rho's 2^16-unit share does not reach
+    # whose products stay below 100 bits and which rho's 2^16-unit share
+    # does not reach
     STARTS = [(3 * 10**10, 7 * 10**11), (10**12, 5 * 10**12),
               (2 * 10**13, 9 * 10**13), (10**10, 10**14), (6 * 10**13, 3 * 10**14)]
 
@@ -274,28 +276,42 @@ class TestSplitEngine:
         # the budget for rho's share and one whole curve splits n, the
         # budget for rho's share and stage 1 alone does not
         q = oracles.OUT_OF_REACH[0]
+        share = arith._rho_share(p * q)
         _, _, stage1, stage2 = arith._ecm_plan()
         with pytest.raises(BudgetExceeded):
-            factorize(p * q, budget=arith._RHO_SHARE + 2 * stage1)
-        f = factorize(p * q, budget=arith._RHO_SHARE + 2 * (stage1 + stage2))
+            factorize(p * q, budget=share + 2 * stage1)
+        f = factorize(p * q, budget=share + 2 * (stage1 + stage2))
         assert f.as_dict() == {p: 1, q: 1}
 
+    # 1000000087 times a prime, giving 100 and 101 bits: rho finds the
+    # 10-digit factor at 27,646 units, past 2^13 and inside 2^16
+    EDGE = (1000000087 * 1267650489942636776371,
+            1000000087 * 1267650489942636776579)
+
     # factors from 8 to 19 digits: rho finds some inside its share, ECM
-    # the others after a few curves
+    # the others after a few curves; the last three lie above 100 bits
     POOL = [15485863 * 15485867 * 32452843,
             30000000001 * 700000000009,
             1000000000063 * 5000000000053,
             195418370547079 * 7720033903045593593,
-            29996224275833**2 * 1000003]
+            29996224275833**2 * 1000003,
+            EDGE[1]]
 
-    # the least budget that completes: rho alone splits the first two, so
-    # these pin rho's own charges; then rho's share plus one curve, and
-    # pell3 m=48's 15-digit factor on the seventh curve
+    # the least budget that completes: rho alone splits the first three,
+    # so these pin rho's own charges; then rho's share plus one curve,
+    # for EDGE[1] too, and pell3 m=48's 15-digit factor on the seventh curve
     @pytest.mark.parametrize("n,least", [(POOL[0], 22_012), (POOL[4], 3_198),
-                                         (POOL[1], 167_420), (POOL[3], 778_724)])
+                                         (EDGE[0], 27_646), (POOL[1], 167_420),
+                                         (EDGE[1], 110_076), (POOL[3], 721_380)])
     def test_least_completing_budget(self, n, least):
         assert _outcome(n, least - 1) == ("exceeded", n)
         assert isinstance(_outcome(n, least), dict)
+
+    def test_share_steps_above_100_bits(self):
+        # the EDGE numbers differ only in their large prime, so rho's share
+        # is what sets their least budgets above apart
+        assert [n.bit_length() for n in self.EDGE] == [100, 101]
+        assert [arith._rho_share(n) for n in self.EDGE] == [1 << 16, 1 << 13]
 
     # integer draws lean to small values; a coarse step spreads budgets
     # across rho's share and the first few curves
@@ -318,7 +334,7 @@ class TestSplitEngine:
         p, q = 1000000000039, 5000000000053
         for n, verdict in ((p * p * q**3, True), (p * p * q, False)):
             with pytest.raises(BudgetExceeded):
-                is_powerful(n, budget=arith._RHO_SHARE)
+                is_powerful(n, budget=arith._rho_share(n))
             assert is_powerful(n) is verdict
 
 
