@@ -30,10 +30,12 @@ from decimal import Decimal
 from typing import Iterable
 
 from .arith import (
+    _ROUND,
+    _WORK,
     PowerfulDecomp,
     _prime_ln,
+    _prime_power_ln,
     factorize,
-    ratio_digits,
     valuation,
 )
 from .constructions import APWitness, validate_witness
@@ -148,9 +150,18 @@ def compute_D(w: APWitness) -> int:
 
 def _quality(c: Iterable[tuple[int, int]], kappa: Iterable[int]) -> Decimal:
     """log(c) / log(kappa) to 50 digits: the abc quality of a triple with
-    sum c, given as its (prime, exponent) pairs and the primes of kappa."""
-    return ratio_digits(lambda: sum(e * _prime_ln(p) for p, e in c)
-                        / sum(_prime_ln(p) for p in kappa))
+    sum c, given as its (prime, exponent) pairs and the primes of kappa.
+
+    The sums, in this order, and the quotient are taken in arith's work
+    context and rounded once, as ratio_digits would do them.
+    """
+    add = _WORK.add
+    num = den = 0
+    for p, e in c:
+        num = add(num, _prime_power_ln(p, e))
+    for p in kappa:
+        den = add(den, _prime_ln(p))
+    return _ROUND.plus(_WORK.divide(num, den))
 
 
 def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:

@@ -42,18 +42,26 @@ psi13 up it is Baillie-PSW, a probable-prime test: no composite is known
 to pass it, but nothing proves that none does, so a verdict that rests on
 a prime of psi13 or more rests on BPSW.
 
-ratio_digits is the one place that sets Decimal precision: every derived
-ratio or quality the package reports goes through it.  An abc quality
-ln c / ln kappa is summed from the logs of the primes of c and kappa, which
-a private bounded cache keeps at RATIO_DIGITS + 15 digits, so each log is
-evaluated once per process rather than once per triple.
+Decimal precision is set only here, in two contexts: a work context of
+RATIO_DIGITS + 15 digits, in which every derived ratio or quality is
+computed, and a RATIO_DIGITS context that rounds the result once.
+ratio_digits runs any computation that way; sqrt_ratios does it for a
+sorted run of search records with one square root per start.  An abc
+quality ln c / ln kappa is summed from the logs of the primes of c and
+kappa (and their multiples e * ln p), which private bounded caches keep at
+the work precision, so each is evaluated once per process rather than once
+per triple.
 
 Inside factor_memo() (cli.main opens one around each command) factorize
-remembers every result that needed no rho or ECM work, keyed by the
-integer, so a number met again in the same command is not factored again.
-Those results do not depend on the budget; results that used rho or ECM
-are never kept, so a BudgetExceeded for a given (n, budget) is raised
-exactly as without it.
+remembers its results, so a number met again in the same command is not
+factored again.  A result that needed no rho or ECM work does not depend
+on the budget and is keyed by the integer alone.  When rho or ECM split
+the cofactor left by trial division, the cofactor's factorization is
+keyed by (cofactor, budget): rho and ECM reach the same result for the
+same (cofactor, budget) every time, and a cofactor is often shared by
+several numbers (a b_i and the b_i of its reduced triple).  A
+BudgetExceeded is never kept, so it is raised for a given (n, budget)
+exactly as without the memo.
 
 is_powerful and the a^2 b^3 decompositions are read off one factorize
 call, so they answer, or raise BudgetExceeded naming their input, exactly
@@ -69,8 +77,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from typing import Callable, Iterator
+from decimal import Context, Decimal, localcontext
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, InvalidInput, NotPowerful
 
@@ -92,6 +100,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _primes: list[int] | None = None
 
+# The only two precisions of the package (module docstring): derived values
+# are computed in _WORK and rounded once by _ROUND.  Their flags are never
+# read, and neither traps Inexact or Rounded.
+_WORK = Context(prec=RATIO_DIGITS + _GUARD_DIGITS)
+_ROUND = Context(prec=RATIO_DIGITS)
+
 
 def ratio_digits(compute: Callable[[], Decimal]) -> Decimal:
     """compute() evaluated with RATIO_DIGITS + 15 digits, rounded to RATIO_DIGITS.
@@ -100,19 +114,39 @@ def ratio_digits(compute: Callable[[], Decimal]) -> Decimal:
     roots, quotients), so the result is the exact value correctly rounded
     unless that value lies extremely close to a rounding boundary.
     """
-    with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + _GUARD_DIGITS
+    with localcontext(_WORK):
         value = compute()
-        ctx.prec = RATIO_DIGITS
-        return +value
+    return _ROUND.plus(value)
+
+
+def sqrt_ratios(pairs: Iterable[tuple[int, int]]) -> list[Decimal]:
+    """d / sqrt(N) of each (N, d), each equal to
+    ratio_digits(lambda: Decimal(d) / Decimal(N).sqrt()).
+
+    The root is kept while N repeats, so pairs sorted by N take one square
+    root per distinct N.
+    """
+    sqrt, divide, plus = _WORK.sqrt, _WORK.divide, _ROUND.plus
+    out = []
+    last = None
+    for n, d in pairs:
+        if n != last:
+            root, last = sqrt(n), n
+        out.append(plus(divide(d, root)))
+    return out
 
 
 @functools.lru_cache(maxsize=1 << 14)
 def _prime_ln(p: int) -> Decimal:
     """ln p at RATIO_DIGITS + 15 digits, for summing into ratio_digits."""
-    with localcontext() as ctx:
-        ctx.prec = RATIO_DIGITS + _GUARD_DIGITS
-        return Decimal(p).ln()
+    return _WORK.ln(p)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _prime_power_ln(p: int, e: int) -> Decimal:
+    """e * ln p at RATIO_DIGITS + 15 digits: ln p**e as the work context
+    computes it from _prime_ln(p)."""
+    return _WORK.multiply(e, _prime_ln(p))
 
 
 def _prime_list() -> list[int]:
@@ -634,17 +668,23 @@ def _trial_divide(n: int, acc: dict[int, int]) -> int:
     return n
 
 
-# integer -> Factorization while a factor_memo() is open, else None.
-_memo: contextvars.ContextVar[dict[int, Factorization] | None] = (
+# While a factor_memo() is open: n -> Factorization of n, for n that needed
+# no rho or ECM, and (cofactor, budget units) -> Factorization of the
+# cofactor that rho and ECM split; else None.
+_memo: contextvars.ContextVar[dict[int | tuple[int, int], Factorization] | None] = (
     contextvars.ContextVar("factor_memo", default=None))
 
 
 @contextlib.contextmanager
 def factor_memo() -> Iterator[None]:
-    """Scope in which factorize reuses its results that needed no rho or ECM.
+    """Scope in which factorize reuses its results.
 
-    The memo starts empty and is dropped on exit; a nested scope gets its
-    own.  It lives in a context variable, so other threads never see it.
+    A result that needed no rho or ECM is reused for any budget.  When rho
+    or ECM split the cofactor that trial division left, that cofactor's
+    factorization is reused for the same budget only, at which rho and ECM
+    reach it every time.  A BudgetExceeded is never kept.  The memo starts
+    empty and is dropped on exit; a nested scope gets its own.  It lives
+    in a context variable, so other threads never see it.
     """
     token = _memo.set({})
     try:
@@ -680,9 +720,18 @@ def factorize(n: int, budget: int | None = None) -> Factorization:
             # no divisor <= 10^6 and n <= 10^12 forces primality
             acc[n] = acc.get(n, 0) + 1
         else:
-            meter = _Budget(DEFAULT_RHO_BUDGET if budget is None else budget, original)
-            _factor_into(n, 1, acc, meter)
-            memo = None  # rho/ECM may run here, so the result may depend on the budget
+            # rho and ECM split what trial division left; their outcome
+            # is fixed by (that cofactor, budget units)
+            units = DEFAULT_RHO_BUDGET if budget is None else budget
+            hard = memo.get((n, units)) if memo is not None else None
+            if hard is None:
+                found: dict[int, int] = {}
+                _factor_into(n, 1, found, _Budget(units, original))
+                hard = Factorization(tuple(sorted(found.items())))
+                if memo is not None:
+                    memo[(n, units)] = hard
+            acc.update(hard.factors)  # primes above 10^6, none of them in acc
+            memo = None  # the whole result is not kept; the cofactor's is
     result = Factorization(tuple(sorted(acc.items())))
     assert result.n == original
     if memo is not None:

@@ -9,8 +9,11 @@ modules.  Two contracts shape the output:
   overflow doubles almost immediately); small structural counters like k
   and m stay native.
 
-JSON payloads of construct, search and report go through one generic
-writer, _write_json.  Verify reports have a fixed schema, so each witness
+JSON payloads of construct, search and report go through one writer,
+_write_json.  The records and record minima of a search, in search and
+in report's search section alike, have a fixed schema, so _write_json
+renders them straight from the records (_Records) rather than from a dict
+per record.  Verify reports have a fixed schema too, so each witness
 report is rendered straight to its JSON text, the bytes json.dumps(...,
 indent=2) gives it; nothing is opened or written until every witness has
 been analyzed, so a command that fails part way writes no report.
@@ -156,80 +159,97 @@ def _csv_cell(value: Any) -> str:
 _FLUSH_PIECES = 4096
 
 
+class _Records:
+    """A list of search records in a JSON payload.
+
+    _write_json renders it as the JSON text of a list of
+    {"N": str, "d": str, "k": int, "ratio_half": str} objects, straight
+    from the records.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: list[APRecord]):
+        self.records = records
+
+    def texts(self, pad: str) -> Iterator[str]:
+        """Each record's object as it follows its list separator, for a
+        list whose items are indented by pad.  Every string is digits or
+        a Decimal's str, which JSON needs no escapes for."""
+        key = pad + "  "
+        head = f'{{{key}"N": "'
+        d, k = f'",{key}"d": "', f'",{key}"k": '
+        ratio, tail = f',{key}"ratio_half": "', f'"{pad}}}'
+        for r in self.records:
+            yield f"{head}{r.n}{d}{r.d}{k}{r.k}{ratio}{r.ratio_half!s}{tail}"
+
+
 def _write_json(value: Any, write: Callable[[str], Any]) -> None:
     """Write json.dumps(value, indent=2) + "\n" through `write`, in pieces.
 
-    Only dict (with str keys), list, str, int, bool and None are written;
-    any other type raises TypeError.  Every list loop passes the pieces
-    gathered so far to `write` once there are _FLUSH_PIECES of them, so
-    the text held at once stays bounded at every depth (the 25,602-hit
-    battery report is 32 MB).  The stdlib's indented encoder runs in pure
-    Python and takes about twice as long on that report.
+    Only dict (with str keys), list, str, int, bool and None are written,
+    and _Records as the list it stands for; any other type raises
+    TypeError.  Every list loop passes the pieces gathered so far to
+    `write` once there are _FLUSH_PIECES of them, so the text held at once
+    stays bounded at every depth (the 25,602-hit battery report is 32 MB).
+    The stdlib's indented encoder runs in pure Python and takes about
+    twice as long on that report.
     """
     pieces: list[str] = []
     put = pieces.append
     quote = json.encoder.encode_basestring_ascii
 
-    def leaf(v: Any) -> str:
-        if v is None:
-            return "null"
-        if v is True:
-            return "true"
-        if v is False:
-            return "false"
-        if isinstance(v, int):
-            return int.__repr__(v)
-        raise TypeError(f"cannot write {type(v).__name__} as report JSON")
-
-    def container(v: list | dict, pad: str) -> None:
+    def node(v: Any, pad: str) -> None:
         # pad is the newline and indent of v's closing bracket
-        inner = pad + "  "
-        if isinstance(v, list):
+        if isinstance(v, str):
+            put(quote(v))
+        elif v is None:
+            put("null")
+        elif v is True:
+            put("true")
+        elif v is False:
+            put("false")
+        elif isinstance(v, int):
+            put(int.__repr__(v))
+        elif isinstance(v, dict):
             if not v:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, item in v.items():
+                put(sep)
+                put(quote(key))  # a key that is not a str raises TypeError here
+                put(": ")
+                sep = "," + inner
+                node(item, inner)
+            put(pad + "}")
+        elif isinstance(v, (list, _Records)):
+            rendered = isinstance(v, _Records)
+            if not (v.records if rendered else v):
                 put("[]")
                 return
+            inner = pad + "  "
             sep = "[" + inner
-            for item in v:
+            for item in v.texts(inner) if rendered else v:
                 put(sep)
                 sep = "," + inner
-                if isinstance(item, str):
-                    put(quote(item))
-                elif isinstance(item, (list, dict)):
-                    container(item, inner)
+                if rendered:
+                    put(item)
                 else:
-                    put(leaf(item))
+                    node(item, inner)
                 if len(pieces) >= _FLUSH_PIECES:
                     write("".join(pieces))
                     pieces.clear()
             put(pad + "]")
-            return
-        if not v:
-            put("{}")
-            return
-        sep = "{" + inner
-        for key, item in v.items():
-            put(sep)
-            put(quote(key))  # a key that is not a str raises TypeError here
-            put(": ")
-            sep = "," + inner
-            if isinstance(item, str):
-                put(quote(item))
-            elif isinstance(item, (list, dict)):
-                container(item, inner)
-            else:
-                put(leaf(item))
-        put(pad + "}")
+        else:
+            raise TypeError(f"cannot write {type(v).__name__} as report JSON")
 
-    if isinstance(value, (list, dict)):
-        container(value, "\n")
-    elif isinstance(value, str):
-        put(quote(value))
-    else:
-        put(leaf(value))
+    node(value, "\n")
     put("\n")
     write("".join(pieces))
-    # container() refers to itself, so this frame's closures live until a
-    # gc pass; drop the text they hold now.
+    # node() refers to itself, so this frame's closures live until a gc
+    # pass; drop the text they hold now.
     pieces.clear()
 
 
@@ -404,8 +424,8 @@ def _search_payload(args: argparse.Namespace,
         minima = record_min_ratio(records)
         payload["k"] = k
         payload["d_max"] = args.dmax
-        payload["records"] = [_record_json(r) for r in records]
-        payload["record_minima"] = [_record_json(r) for r in minima]
+        payload["records"] = _Records(records)
+        payload["record_minima"] = _Records(minima)
         if k == 3:
             for rec in minima:
                 if rec.d * rec.d < 16 * rec.n:  # d/sqrt(N) < 4, exactly
@@ -420,15 +440,6 @@ def _search_payload(args: argparse.Namespace,
                     for rec in records]
     payload["notes"] = notes
     return payload, rows
-
-
-def _record_json(rec: APRecord) -> dict[str, Any]:
-    return {
-        "N": str(rec.n),
-        "d": str(rec.d),
-        "k": rec.k,
-        "ratio_half": str(rec.ratio_half),
-    }
 
 
 def cmd_search(args: argparse.Namespace) -> int:

@@ -7,12 +7,13 @@ bisection and finds the third terms 2(N+d) - N among the table with one
 C-level set intersection per window, so no Python code runs per pair.
 An even start scans only even middle terms: an even powerful number is
 divisible by 4, so an odd middle term would give a third term that is
-2 mod 4, which is never powerful.  Output is sorted by (N, d), and each start's
-square root is taken once for all of its ratios d/sqrt(N).  A table is
-always enumerated afresh: enumeration is faster than reading the same
-values back from a file.  Search builds no witnesses: a record is a bare
-(N, d, k) with its ratio, and constructions.witness_from_terms re-proves
-its terms when a caller needs receipts.
+2 mod 4, which is never powerful.  Output is sorted by (N, d), and
+arith.sqrt_ratios takes each start's square root once for all of its
+ratios d/sqrt(N).  A table is always enumerated afresh: enumeration is
+faster than reading the same values back from a file.  Search builds no
+witnesses: a record is a bare (N, d, k) with its ratio, and
+constructions.witness_from_terms re-proves its terms when a caller needs
+receipts.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
 from itertools import repeat
 from operator import sub
 
-from .arith import integer_nth_root, ratio_digits
+from .arith import integer_nth_root, sqrt_ratios
 from .errors import CapacityExceeded, InvalidInput
 
 # Soft memory guard: ~2.173*sqrt(limit) values expected, each a Python int.
@@ -162,11 +162,8 @@ def find_kaps(table: PowerfulTable, k: int, d_max: int) -> list[APRecord]:
                 if all(n + t * d in members for t in range(3, k)):
                     pairs.append((n, d))
     pairs.sort()
-    # sorted by N, so one cached root serves each start; it is taken inside
-    # ratio_digits, at its working precision, like the quotient
-    root = lru_cache(maxsize=1)(lambda n: Decimal(n).sqrt())
-    return [APRecord(n, d, k, ratio_digits(lambda: Decimal(d) / root(n)))
-            for n, d in pairs]
+    return [APRecord(n, d, k, ratio)
+            for (n, d), ratio in zip(pairs, sqrt_ratios(pairs))]
 
 
 def consecutive_check(table: PowerfulTable) -> list[tuple[int, ...]]:

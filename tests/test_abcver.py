@@ -19,6 +19,7 @@ from powerful_ap import (
     compute_D,
     extend_ap,
     enumerate_powerful,
+    factorize,
     find_kaps,
     pell_3ap,
     radical_inequality_check,
@@ -27,6 +28,8 @@ from powerful_ap import (
     valuation,
     witness_from_terms,
 )
+from powerful_ap import abcver, arith
+from powerful_ap.arith import ratio_digits
 from powerful_ap.constructions import APWitness, PowerfulDecomp, validate_witness
 
 import oracles
@@ -250,6 +253,35 @@ class TestQualityOracle:
             t = analyze_triple(w)
             expected = oracles.decimal_quality(t.abc[2], t.kappa)
             assert str(t.quality) == str(expected), f"N={w.terms[0]} d={w.d}"
+
+
+def _summed_quality(c, kappa):
+    """The quality as one ratio_digits scope over sums of e * ln p."""
+    return ratio_digits(lambda: sum(e * arith._prime_ln(p) for p, e in c)
+                        / sum(arith._prime_ln(p) for p in kappa))
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 97, 1009, 65537, 999983,
+                           1000003, 2**61 - 1, 10**25 + 13])
+
+
+class TestQualitySums:
+    """_quality's sums and quotient, run in arith's two contexts, equal the
+    same sums taken in one ratio_digits scope."""
+
+    @given(c=st.dictionaries(_PRIMES, st.integers(1, 40), min_size=1, max_size=6),
+           kappa=st.sets(_PRIMES, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_random_factorizations(self, c, kappa):
+        c, kappa = sorted(c.items()), sorted(kappa)
+        got, want = abcver._quality(c, kappa), _summed_quality(c, kappa)
+        assert got.as_tuple() == want.as_tuple()
+
+    def test_analyzed_triples(self):
+        for w in [squares_3ap(m) for m in range(1, 11)] + [pell_3ap(m) for m in range(1, 11)]:
+            t = analyze_triple(w)
+            kappa = [p for p, _ in factorize(t.kappa)]
+            assert t.quality.as_tuple() == _summed_quality(factorize(t.abc[2]), kappa).as_tuple()
 
 
 class TestConsistencyGuards:

@@ -430,6 +430,47 @@ class TestFactorMemo:
             with pytest.raises(BudgetExceeded):
                 factorize(self.RHO_N, budget=1)
 
+    @staticmethod
+    def _count_splits(monkeypatch):
+        split = []
+        real = arith._factor_into
+
+        def counting(n, mult, out, budget):
+            split.append(n)
+            return real(n, mult, out, budget)
+
+        monkeypatch.setattr(arith, "_factor_into", counting)
+        return split
+
+    def test_rho_results_are_kept_per_cofactor_and_budget(self, monkeypatch):
+        split = self._count_splits(monkeypatch)
+        with factor_memo():
+            first = factorize(self.RHO_N)
+            assert factorize(self.RHO_N) == first
+            # another number whose trial division leaves the same cofactor
+            assert factorize(12 * self.RHO_N).as_dict() == {2: 2, 3: 1, **first.as_dict()}
+            assert split == [self.RHO_N]
+            # another budget is another key, even one that reaches the result
+            assert factorize(self.RHO_N, budget=10**6) == first
+            assert split == [self.RHO_N] * 2
+            assert set(arith._memo.get()) == {(self.RHO_N, arith.DEFAULT_RHO_BUDGET),
+                                              (self.RHO_N, 10**6)}
+        assert factorize(self.RHO_N) == first
+        assert split == [self.RHO_N] * 3
+
+    def test_budget_exceeded_is_raised_again(self, monkeypatch):
+        split = self._count_splits(monkeypatch)
+        n = 6 * self.RHO_N
+        with factor_memo():
+            errors = []
+            for _ in range(2):
+                with pytest.raises(BudgetExceeded) as exc:
+                    factorize(n, budget=100)
+                errors.append((str(exc.value), exc.value.number))
+            assert errors == [(f"factoring budget exhausted on {n}", n)] * 2
+            assert split == [self.RHO_N] * 2
+            assert arith._memo.get() == {}
+
 
 class TestValuationRadical:
     def test_valuation(self):

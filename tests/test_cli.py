@@ -4,8 +4,10 @@ Exit codes are part of the public contract: 0 pass, 1 verification
 failure, 2 resource limit, 3 unparseable input.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
@@ -14,7 +16,20 @@ from decimal import Decimal
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from powerful_ap import abcver, arith, cli, constructions, five_ap, four_ap, pell_3ap
+from powerful_ap import (
+    abcver,
+    arith,
+    cli,
+    consecutive_check,
+    constructions,
+    enumerate_powerful,
+    find_kaps,
+    five_ap,
+    four_ap,
+    pell_3ap,
+    record_min_ratio,
+)
+from powerful_ap.arith import ratio_digits
 from powerful_ap.cli import main
 
 import oracles
@@ -54,6 +69,12 @@ GOLDEN_STDOUT_SHA256 = {
         "c8d51df2438d4b8008d7afed0e795375cc8a4a9cf9af3de8f93c38c98e4bb3e1",
     "search --limit 10000000 --dmax 100000 --k 5":
         "877eb4a6a2ae56421bb6ff889ce2fdf7af1693b6817787eb526f194f07fd5205",
+    # report's search section: 71,128 bytes, its record lists one level deeper
+    "report --m 1 --limit 100000 --dmax 3000":
+        "b2317bee17e775ef6fe2a613bc00ca4a958de7c393392122ca3dd7e79d1a05e6",
+    # rho and ECM split five cofactors, each shared by several numbers
+    "verify --family four --m 14..15":
+        "2e009dac6cb4ddea1a8ab57ba18e66ef9b59d92d840cd3dffd0ebbe8bd99d262",
 }
 
 
@@ -263,6 +284,80 @@ class TestSearch:
             main(["search", "--limit", "100", "--threads", "4"])
         assert exc.value.code == 3
         assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+
+
+def _search_section(limit, dmax, k):
+    """The search payload as a dict with one dict per record, the shape
+    json.dumps(payload, indent=2) prints; each ratio is taken on its own."""
+    table = enumerate_powerful(limit)
+    runs = consecutive_check(table)
+    payload = {"limit": limit, "count": len(table)}
+    if len(table) <= 1000:
+        payload["values"] = [str(v) for v in table.values]
+    payload["consecutive_runs"] = [[str(v) for v in run] for run in runs]
+    notes = [f"run of {len(run)} consecutive powerful numbers at {run[0]} "
+             "(previously unknown; report this)" for run in runs if len(run) >= 3]
+    if dmax is not None:
+        records = find_kaps(table, k, dmax)
+
+        def as_dict(r):
+            ratio = ratio_digits(lambda: Decimal(r.d) / Decimal(r.n).sqrt())
+            return {"N": str(r.n), "d": str(r.d), "k": r.k, "ratio_half": str(ratio)}
+
+        payload["k"] = k
+        payload["d_max"] = dmax
+        payload["records"] = [as_dict(r) for r in records]
+        payload["record_minima"] = [as_dict(r) for r in record_min_ratio(records)]
+        if k == 3:
+            notes += [f"3-AP at N={m['N']}, d={m['d']} has d/sqrt(N) = "
+                      f"{m['ratio_half'][:12]}... < 4 (notable, not an error)"
+                      for m in payload["record_minima"]
+                      if int(m["d"]) ** 2 < 16 * int(m["N"])]
+    payload["notes"] = notes
+    return payload
+
+
+def _stdout(*argv):
+    """stdout of main(argv), which must exit 0 (no capsys: hypothesis runs
+    many examples in one test call)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+class TestSearchRendering:
+    """search and report's search section print the record lists straight
+    from the records, as json.dumps prints them from one dict per record."""
+
+    @given(limit=st.integers(1, 3000), dmax=st.none() | st.integers(1, 300),
+           k=st.integers(3, 5))
+    @settings(max_examples=60, deadline=None)
+    @example(limit=3000, dmax=300, k=3)  # minima with d/sqrt(N) < 4: notes
+    @example(limit=100, dmax=1, k=3)  # no records
+    @example(limit=1, dmax=1, k=5)
+    @example(limit=2000, dmax=None, k=3)
+    def test_equals_json_dumps_of_record_dicts(self, limit, dmax, k):
+        expected = _search_section(limit, dmax, k)
+        argv = ["--limit", str(limit), "--k", str(k)]
+        argv += [] if dmax is None else ["--dmax", str(dmax)]
+        assert _stdout("search", *argv) == json.dumps(expected, indent=2) + "\n"
+        out = _stdout("report", "--m", "1", *argv)
+        report = json.loads(out)
+        report["search"] = expected
+        assert out == json.dumps(report, indent=2) + "\n"
+
+    def test_examples_cover_notes_and_empty_lists(self):
+        assert len(_search_section(3000, 300, 3)["notes"]) == 3
+        assert _search_section(100, 1, 3)["records"] == []
+
+    def test_record_lists_flush_in_bounded_pieces(self, table_1e6):
+        records = find_kaps(table_1e6, 3, 10**4) * 5  # 5,435 records
+        chunks = _written({"records": cli._Records(records)})
+        assert len(chunks) > 2
+        assert "".join(chunks) == json.dumps({"records": [
+            {"N": str(r.n), "d": str(r.d), "k": r.k, "ratio_half": str(r.ratio_half)}
+            for r in records]}, indent=2) + "\n"
 
 
 class TestVerify:
@@ -764,6 +859,23 @@ def test_factor_memo_lives_for_one_call(monkeypatch, capsys):
         assert main(["construct", "--family", "squares3", "--m", "1"]) == 0
     assert seen == [{}, {}]
     assert arith._memo.get() is None
+
+
+def test_each_hard_cofactor_is_split_once_per_command(monkeypatch, capsys):
+    # the four-family witnesses need rho or ECM on eight distinct numbers
+    # (16 factorize calls), which leave five distinct cofactors after trial
+    # division
+    split = []
+    real = arith._factor_into
+
+    def counting(n, mult, out, budget):
+        split.append(n)
+        return real(n, mult, out, budget)
+
+    monkeypatch.setattr(arith, "_factor_into", counting)
+    code, out, err = run(capsys, "verify", "--family", "four", "--m", "14..15")
+    assert code == 0 and err == ""
+    assert len(split) == len(set(split)) == 5
 
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):

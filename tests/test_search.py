@@ -16,7 +16,7 @@ from powerful_ap import (
     record_min_ratio,
     witness_from_terms,
 )
-from powerful_ap.arith import ratio_digits
+from powerful_ap.arith import ratio_digits, sqrt_ratios
 
 import oracles
 
@@ -223,6 +223,48 @@ class TestRecordMinima:
                 for n in (10**120, 10**120 + 1)]
         assert recs[0].ratio_half == recs[1].ratio_half
         assert record_min_ratio(recs) == recs
+
+
+def _one_ratio(n, d):
+    return ratio_digits(lambda: Decimal(d) / Decimal(n).sqrt())
+
+
+class TestSqrtRatios:
+    """The batched d/sqrt(N) equal ratio_digits taken per record, to the
+    last digit and exponent."""
+
+    @staticmethod
+    def _check(pairs):
+        got = sqrt_ratios(pairs)
+        want = [_one_ratio(n, d) for n, d in pairs]
+        assert [r.as_tuple() for r in got] == [r.as_tuple() for r in want]
+        assert [str(r) for r in got] == [str(r) for r in want]
+
+    @given(st.lists(st.tuples(st.integers(1, 10**40), st.integers(1, 10**30)),
+                    max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_random_pairs(self, pairs):
+        self._check(sorted(pairs))
+        self._check(pairs)  # unsorted: the root is only reused while N repeats
+
+    @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_runs_of_equal_n(self, pairs):
+        # each N several times in a row, with different d
+        self._check(sorted((n, d + i) for n, d in pairs for i in range(3)))
+
+    def test_perfect_squares_give_exact_ratios(self):
+        pairs = [(1, 24), (1, 25), (4, 6), (36, 36), (10**40, 3 * 10**20)]
+        self._check(pairs)
+        assert [str(r) for r in sqrt_ratios(pairs)] == ["24", "25", "3", "6", "3"]
+
+    def test_ratios_equal_to_50_digits(self):
+        d = 3 * 10**60 + 1
+        pairs = [(10**120, d), (10**120 + 1, d)]
+        self._check(pairs)
+        first, second = sqrt_ratios(pairs)
+        assert first == second
 
 
 class TestWitnessBridge:
