@@ -10,7 +10,8 @@ The pieces:
 
 * arith: budgeted factoring, primality and valuations; is_powerful and the
   a^2 b^3 decomposition are read off one factorization.
-* pell: solutions of X^2 - 2Y^2 = +-1, which drive the constructions.
+* pell: pell_solution(k), the (X, Y) of (1 + sqrt(2))^k = X + Y sqrt(2),
+  which solves X^2 - 2Y^2 = (-1)^k and drives the constructions.
 * constructions: the closed-form 3/4/5-term families, the inductive
   extension step to arbitrary k, the growth constants C_k, and
   witness_from_terms, which turns bare terms into a checked witness.
@@ -70,7 +71,7 @@ from .errors import (
     NotPowerful,
     PowerfulAPError,
 )
-from .pell import PellKind, PellSolution, iter_pell_neg, iter_pell_pos, pell_solution
+from .pell import pell_solution
 from .search import (
     APRecord,
     PowerfulTable,
@@ -93,8 +94,6 @@ __all__ = [
     "InvalidInput",
     "InvalidWitness",
     "NotPowerful",
-    "PellKind",
-    "PellSolution",
     "PowerfulAPError",
     "PowerfulDecomp",
     "PowerfulTable",
@@ -120,8 +119,6 @@ __all__ = [
     "is_powerful",
     "is_prime",
     "is_squarefree",
-    "iter_pell_neg",
-    "iter_pell_pos",
     "long_ap",
     "pell_3ap",
     "pell_solution",

@@ -61,7 +61,6 @@ class PrimeCheck:
 
 @dataclass(frozen=True)
 class TripleAnalysis:
-    witness: APWitness
     reduced: APWitness
     D: int
     quotients: tuple[int, int, int]
@@ -244,7 +243,6 @@ def analyze_triple(w: APWitness, budget: int | None = None) -> TripleAnalysis:
     kappa = math.prod(kappa_primes)
 
     return TripleAnalysis(
-        witness=w,
         reduced=red,
         D=D,
         quotients=quotients,

@@ -4,15 +4,18 @@ Four closed-form families plus an inductive extension step:
 
 * squares_3ap(m): (2m^2-1)^2, (2m^2+2m+1)^2, (2m^2+4m+1)^2 with
   d = 8m^3 + 12m^2 + 4m.
-* pell_3ap(m): 8n^2, (2x)^2, (2x+2)^2 where x = 2Y+1, n = X for the m-th
-  solution of X^2 - 2Y^2 = -1; d = 8x + 4.  Rests on x^2 - 2x - 1 = 2n^2.
-* four_ap(m): with x = 8Y^2 (so x+4 = 4X^2 for X^2 - 2Y^2 = 1) the four
-  terms (x-2)^3(x+2)^2, (x-2)^2 x (x+2)^2, (x-2)^2(x+2)^3,
-  (x-2)^2(x+2)^2(x+4), d = 2(x-2)^2(x+2)^2.
-* five_ap(m): with y = 4x^2 and a = 4x+2 for x = 2Y+1 from the -1 Pell
-  stream, the five terms (y-2a)(y-a)^2(y+a)^2 .. (y-a)^2(y+a)^2(y+2a) in
-  steps of d = a(y-a)^2(y+a)^2; the odd-position terms are the pell_3ap
-  terms scaled by (y-a)^2(y+a)^2.
+* pell_3ap(m): 8n^2, (2x)^2, (2x+2)^2 where x = 2Y+1, n = X for
+  X + Y*sqrt(2) = (1 + sqrt(2))^(2m+1), the m-th solution of
+  X^2 - 2Y^2 = -1; d = 8x + 4.  Rests on x^2 - 2x - 1 = 2n^2.
+* four_ap(m): with x = 8Y^2 for X + Y*sqrt(2) = (1 + sqrt(2))^(2m) (so
+  x+4 = 4X^2 by X^2 - 2Y^2 = 1) the four terms (x-2)^3(x+2)^2,
+  (x-2)^2 x (x+2)^2, (x-2)^2(x+2)^3, (x-2)^2(x+2)^2(x+4),
+  d = 2(x-2)^2(x+2)^2.
+* five_ap(m): with y = 4x^2 and a = 4x+2 for x = 2Y+1, where
+  X + Y*sqrt(2) = (1 + sqrt(2))^(2m+1) as in pell_3ap(m), the five terms
+  (y-2a)(y-a)^2(y+a)^2 .. (y-a)^2(y+a)^2(y+2a) in steps of
+  d = a(y-a)^2(y+a)^2; the odd-position terms are the pell_3ap terms
+  scaled by (y-a)^2(y+a)^2.
 
 extend_ap turns a k-term progression with difference d into a (k+1)-term
 one: write (last term) + d = a^2*b with b squarefree, scale everything by
@@ -39,7 +42,7 @@ from .arith import (
     ratio_digits,
 )
 from .errors import BudgetExceeded, InvalidInput, InvalidWitness
-from .pell import PellKind, pell_solution
+from .pell import pell_solution
 
 FAMILY_SQUARES3 = "squares3"
 FAMILY_PELL3 = "pell3"
@@ -154,8 +157,8 @@ def pell_3ap(m: int) -> APWitness:
     """The m-th Pell-driven 3-AP: 8n^2, (2x)^2, (2x+2)^2 with d = 8x + 4."""
     if m < 1:
         raise InvalidInput(f"m must be >= 1, got {m}")
-    sol = pell_solution(m, PellKind.NEG)
-    n, x = sol.x, 2 * sol.y + 1
+    n, bigy = pell_solution(2 * m + 1)
+    x = 2 * bigy + 1
     assert x * x - 2 * x - 1 == 2 * n * n
     terms = (8 * n * n, (2 * x) ** 2, (2 * x + 2) ** 2)
     d = 8 * x + 4
@@ -189,8 +192,7 @@ def four_ap(m: int, budget: int | None = None) -> APWitness:
     """The m-th 4-term progression built on x = 8Y^2, x + 4 = 4X^2."""
     if m < 1:
         raise InvalidInput(f"m must be >= 1, got {m}")
-    sol = pell_solution(m, PellKind.POS)
-    bigx, bigy = sol.x, sol.y
+    bigx, bigy = pell_solution(2 * m)
     x = 8 * bigy * bigy
     assert x + 4 == 4 * bigx * bigx
     u, v, w_ = x - 2, x + 2, x + 4
@@ -226,8 +228,8 @@ def five_ap(m: int, budget: int | None = None) -> APWitness:
     """The m-th 5-term progression anchored on the pell_3ap(m) terms."""
     if m < 1:
         raise InvalidInput(f"m must be >= 1, got {m}")
-    sol = pell_solution(m, PellKind.NEG)
-    n, x = sol.x, 2 * sol.y + 1
+    n, bigy = pell_solution(2 * m + 1)
+    x = 2 * bigy + 1
     y, a = 4 * x * x, 4 * x + 2
     assert y - 2 * a == 8 * n * n  # first pell_3ap term
     lo, hi = y - a, y + a

@@ -159,7 +159,7 @@ def find_kaps(table: PowerfulTable, k: int, d_max: int) -> list[APRecord]:
             j = bisect_right(scan, n + d_max, i + 1)
             for third in members.intersection(map(sub, doubled[i + 1 : j], repeat(n))):
                 d = (third - n) // 2
-                if all(n + t * d in members for t in range(3, k)):
+                if k == 3 or all(n + t * d in members for t in range(3, k)):
                     pairs.append((n, d))
     pairs.sort()
     return [APRecord(n, d, k, ratio)

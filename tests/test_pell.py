@@ -1,17 +1,17 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powerful_ap import InvalidInput, PellKind, PellSolution, pell_solution
-from powerful_ap.pell import iter_pell_neg, iter_pell_pos
+from powerful_ap import ConsistencyFailure, InvalidInput, pell_solution
+from powerful_ap import pell
 
 import oracles
 
 
 class TestNegativeBranch:
+    """Odd powers of 1 + sqrt(2): X^2 - 2Y^2 = -1."""
+
     def test_first_solutions(self):
-        got = [(s.x, s.y) for s in itertools.islice(iter_pell_neg(), 7)]
+        got = [pell_solution(2 * m + 1) for m in range(1, 8)]
         assert got == [
             (7, 5),
             (41, 29),
@@ -23,19 +23,20 @@ class TestNegativeBranch:
         ]
 
     def test_identity_holds(self):
-        for s in itertools.islice(iter_pell_neg(), 60):
-            assert s.x * s.x - 2 * s.y * s.y == -1
-            assert s.kind is PellKind.NEG
+        for k in range(1, 200, 2):
+            x, y = pell_solution(k)
+            assert x * x - 2 * y * y == -1
 
     def test_matches_unit_powers(self):
-        # the m-th emitted solution is (1+sqrt(2))^(2m+1)
-        for m, s in enumerate(itertools.islice(iter_pell_neg(), 40), start=1):
-            assert (s.x, s.y) == oracles.zsqrt2_pow(2 * m + 1)
+        for k in range(1, 401, 2):
+            assert pell_solution(k) == oracles.zsqrt2_pow(k)
 
 
 class TestPositiveBranch:
+    """Even powers of 1 + sqrt(2): X^2 - 2Y^2 = +1."""
+
     def test_first_solutions(self):
-        got = [(s.x, s.y) for s in itertools.islice(iter_pell_pos(), 7)]
+        got = [pell_solution(2 * m) for m in range(1, 8)]
         assert got == [
             (3, 2),
             (17, 12),
@@ -47,40 +48,36 @@ class TestPositiveBranch:
         ]
 
     def test_identity_holds(self):
-        for s in itertools.islice(iter_pell_pos(), 60):
-            assert s.x * s.x - 2 * s.y * s.y == 1
-            assert s.kind is PellKind.POS
+        for k in range(0, 200, 2):
+            x, y = pell_solution(k)
+            assert x * x - 2 * y * y == 1
 
     def test_matches_unit_powers(self):
-        for m, s in enumerate(itertools.islice(iter_pell_pos(), 40), start=1):
-            assert (s.x, s.y) == oracles.zsqrt2_pow(2 * m)
+        for k in range(0, 401, 2):
+            assert pell_solution(k) == oracles.zsqrt2_pow(k)
 
 
 class TestSolutionType:
     def test_index_lookup(self):
-        s = pell_solution(3, PellKind.NEG)
-        assert (s.m, s.x, s.y) == (3, 239, 169)
-        s = pell_solution(1, PellKind.POS)
-        assert (s.m, s.x, s.y) == (1, 3, 2)
+        assert pell_solution(0) == (1, 0)
+        assert pell_solution(1) == (1, 1)
+        assert pell_solution(7) == (239, 169)
 
     def test_rejects_bad_index(self):
         with pytest.raises(InvalidInput):
-            pell_solution(0, PellKind.NEG)
+            pell_solution(-1)
 
-    def test_rejects_false_witness(self):
-        with pytest.raises(InvalidInput):
-            PellSolution(m=1, x=7, y=4, kind=PellKind.NEG)
+    def test_rejects_a_pair_off_the_norm(self, monkeypatch):
+        # a product that forgets sqrt(2)^2 = 2 yields pairs of the wrong
+        # norm; the norm check must raise rather than return one
+        monkeypatch.setattr(pell, "_mul", lambda a, b: (a[0] * b[0] + a[1] * b[1],
+                                                         a[0] * b[1] + a[1] * b[0]))
+        with pytest.raises(ConsistencyFailure):
+            pell_solution(3)
 
-    @given(st.integers(min_value=1, max_value=300))
-    @settings(max_examples=40, deadline=None)
-    def test_recurrence_preserves_solutions(self, m):
-        s = pell_solution(m, PellKind.NEG)
-        nxt = PellSolution(m + 1, 3 * s.x + 4 * s.y, 2 * s.x + 3 * s.y, PellKind.NEG)
-        assert nxt == pell_solution(m + 1, PellKind.NEG)
-
-    def test_iterators_are_lazy(self):
-        neg = iter_pell_neg()
-        pos = iter_pell_pos()
-        assert next(neg).x == 7
-        assert next(pos).x == 3
-        assert [s.y for s in itertools.islice(neg, 2)] == [29, 169]
+    @given(st.integers(min_value=0, max_value=600))
+    @settings(max_examples=60, deadline=None)
+    def test_recurrence_preserves_solutions(self, k):
+        # (X + Y sqrt(2)) (1 + sqrt(2)) = (X + 2Y) + (X + Y) sqrt(2)
+        x, y = pell_solution(k)
+        assert pell_solution(k + 1) == (x + 2 * y, x + y)
